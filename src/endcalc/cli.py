@@ -38,6 +38,17 @@ def _default_seed() -> int:
         return 42
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (a window or trial count)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="endcalc",
@@ -74,19 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--spec", required=True,
                     help='e.g. "excluded=finite{0,5}" or '
                          '"excluded=periodic{N=1,p=3,r=0}"')
-    fs.add_argument("--window", type=int, default=200)
+    fs.add_argument("--window", type=_positive_int, default=200)
 
     fw = fsub.add_parser("swindle", help="verify the commutator identity")
     fw.add_argument("--perm", required=True)
     fw.add_argument("--k", type=int, required=True)
-    fw.add_argument("--window", type=int, default=200)
+    fw.add_argument("--window", type=_positive_int, default=200)
 
     fc = fsub.add_parser("check", help="run a randomized property suite")
     fc.add_argument("--suite", required=True,
                     choices=["additivity", "theta", "normalize", "swindle"])
-    fc.add_argument("--n", type=int, default=1000, help="trial count")
+    fc.add_argument("--n", type=_positive_int, default=1000,
+                    help="trial count")
     fc.add_argument("--seed", type=int, default=None)
-    fc.add_argument("--window", type=int, default=200)
+    fc.add_argument("--window", type=_positive_int, default=200)
 
     k = sub.add_parser("corpus", help="classify every .surf file in a directory")
     k.add_argument("dir")
@@ -94,11 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_classify(args) -> int:
+def _read_surf(path: Path) -> Optional[str]:
+    """The text of a .surf file, or None after a one-line error on stderr."""
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
+    except UnicodeDecodeError as e:
+        print("error: %s is not UTF-8 text: %s" % (path, e), file=sys.stderr)
+    return None
+
+
+def cmd_classify(args) -> int:
+    text = _read_surf(Path(args.path))
+    if text is None:
         return EXIT_PARSE
     try:
         spec = parse(text)
@@ -187,7 +208,7 @@ def cmd_corpus(args) -> int:
     if args.expectations:
         try:
             expectations = json.loads(Path(args.expectations).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             print("error reading expectations: %s" % e, file=sys.stderr)
             return EXIT_PARSE
 
@@ -195,8 +216,12 @@ def cmd_corpus(args) -> int:
     parse_failed = False
     mismatches: List[str] = []
     for path in files:
+        text = _read_surf(path)
+        if text is None:
+            parse_failed = True
+            continue
         try:
-            report = classify(parse(path.read_text(encoding="utf-8")))
+            report = classify(parse(text))
         except (ParseError, SpecError) as e:
             print("parse failure in %s: %s" % (path.name, e), file=sys.stderr)
             parse_failed = True

@@ -7,6 +7,12 @@ other types accumulate to it cofinally (``children``).  Equivalence of
 types is decided by comparing canonical forms; the preorder is decided
 by membership in the set of types appearing below a node.
 
+End types are interned (hash-consed): structurally equal trees are one
+and the same immutable object, so equality and hashing are by identity
+and cost the same at any depth.  Build a variant of a node with the
+:class:`EndType` constructor (or :func:`node`), never by mutation or
+``dataclasses.replace``.
+
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
 Cantor set (the :data:`CANTOR` marker).
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 
@@ -45,7 +51,6 @@ HANDLE = _Marker("HANDLE")
 Multiplicity = Union[int, _Marker]
 
 
-@dataclass(frozen=True)
 class EndType:
     """One node of an accumulation tree.
 
@@ -54,24 +59,61 @@ class EndType:
     self_accumulating: the equivalence class of this type is a Cantor set,
         so the type accumulates on itself.
     children: types accumulating to this end cofinally (infinitely many
-        copies in every neighborhood).
+        copies in every neighborhood), as a frozenset of end types.
+
+    Nodes are interned: the constructor returns the one existing node with
+    the same fields, so structurally equal trees are the same object and
+    equality and hashing are by identity.  Nodes are immutable; build a
+    variant with the constructor.
     """
 
-    direct_genus: bool = False
-    self_accumulating: bool = False
-    children: FrozenSet["EndType"] = field(default_factory=frozenset)
+    __slots__ = ("direct_genus", "self_accumulating", "children", "_depth")
+
+    def __new__(cls, direct_genus: bool = False,
+                self_accumulating: bool = False,
+                children: FrozenSet["EndType"] = frozenset()) -> "EndType":
+        key = (direct_genus, self_accumulating, children)
+        t = _INTERNED.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            init = object.__setattr__
+            init(t, "direct_genus", direct_genus)
+            init(t, "self_accumulating", self_accumulating)
+            init(t, "children", children)
+            init(t, "_depth",
+                 1 + max(c._depth for c in children) if children else 0)
+            _INTERNED[key] = t
+        return t
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EndType is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EndType is immutable")
+
+    def __reduce__(self):
+        return EndType, (self.direct_genus, self.self_accumulating,
+                         self.children)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_puncture(self) -> bool:
         return (not self.direct_genus and not self.self_accumulating
                 and not self.children)
 
     def depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
+        return self._depth
 
     def __repr__(self) -> str:
         return f"EndType({format_type(self)!r})"
+
+
+#: (direct_genus, self_accumulating, children) -> the one node with them.
+_INTERNED: dict = {}
 
 
 def node(*, genus: bool = False, cantor: bool = False,
@@ -100,6 +142,7 @@ def planar_tower(k: int) -> EndType:
     return t
 
 
+@functools.lru_cache(maxsize=None)
 def sort_key(t: EndType) -> tuple:
     """Total order on types, used for deterministic output."""
     return (t.depth(), len(t.children), t.direct_genus, t.self_accumulating,
@@ -309,7 +352,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         if m is CANTOR or ct.self_accumulating:
             # a Cantor class accumulates on itself, so marker and flag imply
             # each other; normalize to flag-set + CANTOR
-            ct = canonicalize(replace(ct, self_accumulating=True))
+            ct = canonicalize(EndType(ct.direct_genus, True, ct.children))
             m = CANTOR
         roots[ct] = _merge_mult(roots.get(ct), m)
 

@@ -27,27 +27,37 @@ class OracleScaleError(ValueError):
     pass
 
 
-def _check_scale(t: EndType, depth: int = 0) -> None:
-    if depth > ORACLE_MAX_DEPTH:
+def _check_scale(t: EndType) -> None:
+    """Raise unless the tree fits the oracle; checked on every call."""
+    if t.depth() > ORACLE_MAX_DEPTH:
         raise OracleScaleError("tree exceeds oracle depth %d" % ORACLE_MAX_DEPTH)
-    if len(t.children) > ORACLE_MAX_CHILDREN:
+    if _width(t) > ORACLE_MAX_CHILDREN:
         raise OracleScaleError(
             "node exceeds oracle branching %d" % ORACLE_MAX_CHILDREN)
-    for c in t.children:
-        _check_scale(c, depth + 1)
 
 
+# The helpers below are memoized per node: nodes are interned, so each
+# distinct tree is computed once however many pairs it takes part in.
+
+
+@functools.lru_cache(maxsize=None)
+def _width(t: EndType) -> int:
+    """Largest number of children at any node of the tree."""
+    return max([len(t.children), *map(_width, t.children)])
+
+
+@functools.lru_cache(maxsize=None)
 def _genus_accumulates(t: EndType) -> bool:
     return t.direct_genus or any(_genus_accumulates(c) for c in t.children)
 
 
-def _positions(t: EndType) -> Iterator[EndType]:
-    """Every node of the tree, as a raw subtree (root included)."""
-    yield t
-    for c in t.children:
-        yield from _positions(c)
+@functools.lru_cache(maxsize=None)
+def _positions(t: EndType) -> Tuple[EndType, ...]:
+    """Every node of the tree, as a raw subtree (root included), in preorder."""
+    return (t,) + _cofinal(t)
 
 
+@functools.lru_cache(maxsize=None)
 def _cofinal(t: EndType) -> Tuple[EndType, ...]:
     """Strict subtrees occurring cofinally near the root.
 
@@ -56,10 +66,7 @@ def _cofinal(t: EndType) -> Tuple[EndType, ...]:
     copies.  The root's own class is never listed here; self-accumulation
     is compared flag-to-flag in :func:`_same_neighborhood`.
     """
-    out = []
-    for c in t.children:
-        out.extend(_positions(c))
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(map(_positions, t.children)))
 
 
 @functools.lru_cache(maxsize=None)

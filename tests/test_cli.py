@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from endcalc.cli import (
     EXIT_INVARIANT,
@@ -138,6 +139,14 @@ class TestClassifyCommand:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent.surf"]) == EXIT_PARSE
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.surf"
+        path.write_bytes(b"root omega + 1\n# \xff\n")
+        assert main(["classify", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
     def test_expect_gate(self, capsys):
         assert main(["classify", str(CORPUS / "flute.surf"),
                      "--expect", "YES"]) == EXIT_OK
@@ -188,6 +197,20 @@ class TestFluxCommand:
                      "--n", "50"]) == EXIT_OK
         assert "seed=99" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--spec", "excluded=finite{0}", "--window", "0"],
+        ["swindle", "--perm", "d=1", "--k", "1", "--window", "-5"],
+        ["check", "--suite", "swindle", "--window", "0"],
+        ["check", "--suite", "additivity", "--n", "-3"],
+        ["check", "--suite", "additivity", "--n", "0"],
+        ["check", "--suite", "additivity", "--n", "many"],
+    ])
+    def test_vacuous_window_or_trial_count_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flux", *argv])
+        assert exc.value.code == EXIT_PARSE
+        assert "error: argument --" in capsys.readouterr().err
+
     def test_check_reports_violations(self, capsys, monkeypatch):
         from endcalc import flux as flux_mod
         monkeypatch.setattr(flux_mod, "suite_phi",
@@ -223,6 +246,17 @@ class TestCorpusCommand:
     def test_parse_failure_in_corpus(self, tmp_path, capsys):
         (tmp_path / "bad.surf").write_text("root omega^omega + 1\n")
         assert main(["corpus", str(tmp_path)]) == EXIT_PARSE
+
+    def test_non_utf8_file_in_corpus(self, tmp_path, capsys):
+        for name in ("flute.surf", "loch_ness.surf"):
+            (tmp_path / name).write_bytes((CORPUS / name).read_bytes())
+        (tmp_path / "garbled.surf").write_bytes(b"\xffroot omega + 1\n")
+        assert main(["corpus", str(tmp_path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert "flute.surf" in out and "loch_ness.surf" in out
+        assert "garbled.surf" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "garbled.surf" in err
 
     def test_order_stable_by_filename(self, capsys):
         main(["corpus", str(CORPUS)])

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from endcalc.endspace import (
     CANTOR,
     CANTOR_LEAF,
     HANDLE,
+    EndType,
     LOCH_NESS,
     PUNCTURE,
     SurfaceSpec,
@@ -26,10 +29,58 @@ from endcalc.endspace import (
     preceq,
     type_closure,
 )
+from endcalc.dsl import parse
+from endcalc.oracle import enumerate_trees
 from conftest import random_canonical_tree, random_tree
 
 
 FLUTE = flute()
+
+
+class TestInterning:
+    def test_equal_structure_is_one_object(self):
+        by_node = node(genus=True, children=[PUNCTURE, CANTOR_LEAF])
+        by_class = EndType(True, False, frozenset({EndType(), EndType(
+            self_accumulating=True)}))
+        by_keywords = EndType(direct_genus=True, children=frozenset(
+            [CANTOR_LEAF, PUNCTURE]))
+        assert by_node is by_class is by_keywords
+
+    def test_parse_and_canonicalize_return_interned_nodes(self):
+        (root, _), = parse("root acc([acc([puncture]), puncture])\n").roots
+        assert root is canonicalize(node(children=[FLUTE, PUNCTURE]))
+        assert root is planar_tower(2)
+        assert canonicalize(node(children=[PUNCTURE])) is FLUTE
+
+    def test_copies_and_pickles_are_the_same_object(self):
+        t = node(cantor=True, children=[FLUTE, node(genus=True)])
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t, (t,)])[1][0] is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            FLUTE.direct_genus = True
+        with pytest.raises(AttributeError):
+            FLUTE.extra = 1
+        with pytest.raises(AttributeError):
+            del FLUTE.children
+        assert not FLUTE.direct_genus
+
+    def test_depth_matches_recursive_definition(self):
+        def depth(t):
+            return 1 + max(depth(c) for c in t.children) if t.children else 0
+
+        for t in enumerate_trees(4, 3, 3):
+            assert t.depth() == depth(t)
+
+    def test_deep_tower_hashes_and_compares(self):
+        tower = planar_tower(5000)
+        assert tower.depth() == 5000
+        assert tower is planar_tower(5000)
+        assert tower == planar_tower(5000) and tower != planar_tower(4999)
+        assert {tower: 1}[planar_tower(5000)] == 1
 
 
 class TestCanonicalize:

@@ -10,6 +10,7 @@ from endcalc.endspace import (
     equivalent,
     flute,
     node,
+    planar_tower,
     preceq,
 )
 from endcalc.oracle import (
@@ -38,16 +39,19 @@ class TestOracleExamples:
         assert not oracle_preceq(FLUTE, PUNCTURE)
 
     def test_scale_guard(self):
-        deep = PUNCTURE
-        for _ in range(6):
-            deep = node(children=[deep])
-        with pytest.raises(OracleScaleError):
-            oracle_preceq(deep, PUNCTURE)
-        five = node(children=[
-            PUNCTURE, FLUTE, CANTOR_LEAF,
-            node(genus=True), node(genus=True, cantor=True)])
-        with pytest.raises(OracleScaleError):
-            oracle_preceq(PUNCTURE, five)
+        # the oracle's helpers are memoized per tree: a warm cache must not
+        # turn the guard into a one-shot check
+        assert oracle_preceq(planar_tower(4), planar_tower(4))
+        deep = planar_tower(6)
+        for _ in range(2):
+            with pytest.raises(OracleScaleError):
+                oracle_preceq(deep, PUNCTURE)
+        four = [PUNCTURE, FLUTE, CANTOR_LEAF, node(genus=True)]
+        assert oracle_preceq(PUNCTURE, node(children=four))
+        five = node(children=four + [node(genus=True, cantor=True)])
+        for _ in range(2):
+            with pytest.raises(OracleScaleError):
+                oracle_preceq(PUNCTURE, five)
 
 
 class TestOracleAgreement:
