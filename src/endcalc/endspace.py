@@ -50,6 +50,9 @@ HANDLE = _Marker("HANDLE")
 
 Multiplicity = Union[int, _Marker]
 
+#: (direct_genus, self_accumulating, children) -> the one node with them.
+_INTERNED: dict = {}
+
 
 class EndType:
     """One node of an accumulation tree.
@@ -85,11 +88,10 @@ class EndType:
             _INTERNED[key] = t
         return t
 
-    def __setattr__(self, name, value):
+    def _immutable(self, *args):
         raise AttributeError("EndType is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("EndType is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return EndType, (self.direct_genus, self.self_accumulating,
@@ -110,10 +112,6 @@ class EndType:
 
     def __repr__(self) -> str:
         return f"EndType({format_type(self)!r})"
-
-
-#: (direct_genus, self_accumulating, children) -> the one node with them.
-_INTERNED: dict = {}
 
 
 def node(*, genus: bool = False, cantor: bool = False,
