@@ -26,13 +26,6 @@ SURFACES = sorted(p.stem for p in CORPUS.glob("*.surf"))
 FORMATS = {"json": ["--json", "--witness"], "txt": ["--bounds", "--witness"]}
 
 
-def test_every_corpus_file_has_goldens():
-    assert SURFACES
-    for name in SURFACES:
-        for ext in FORMATS:
-            assert (GOLDEN / ("%s.%s" % (name, ext))).is_file()
-
-
 @pytest.mark.parametrize("ext", sorted(FORMATS))
 @pytest.mark.parametrize("name", SURFACES)
 def test_report_matches_golden(name, ext, capsys):
@@ -59,6 +52,7 @@ def _fresh_json_reports(hash_seed: str) -> dict:
 
 
 def test_fresh_processes_agree_with_goldens():
+    assert SURFACES
     first = _fresh_json_reports("1")
     second = _fresh_json_reports("2")
     assert first == second
