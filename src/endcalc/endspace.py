@@ -85,7 +85,9 @@ class EndType:
             init(t, "children", children)
             init(t, "_depth",
                  1 + max(c._depth for c in children) if children else 0)
-            _INTERNED[key] = t
+            # setdefault, not assignment: of two threads building the same
+            # node, both must get the one that was stored
+            t = _INTERNED.setdefault(key, t)
         return t
 
     def _immutable(self, *args):

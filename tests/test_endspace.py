@@ -2,6 +2,8 @@ import copy
 import itertools
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -74,6 +76,36 @@ class TestInterning:
 
         for t in enumerate_trees(4, 3, 3):
             assert t.depth() == depth(t)
+
+    def test_threads_building_the_same_nodes_share_them(self):
+        # more threads than cores, switching as often as possible: a lost
+        # race in the intern table would hand two threads different nodes
+        start = threading.Barrier(4)
+        built = [None] * 4
+
+        def build(i):
+            start.wait()
+            t, chain = LOCH_NESS, []
+            for _ in range(3000):
+                t = node(genus=True, cantor=True, children=[t, CANTOR_LEAF])
+                chain.append(t)
+            built[i] = chain
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(len(chain) == 3000 for chain in built)
+        for nodes in zip(*built):
+            assert all(t is nodes[0] for t in nodes)
 
     def test_deep_tower_hashes_and_compares(self):
         tower = planar_tower(5000)
