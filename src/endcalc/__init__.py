@@ -39,12 +39,10 @@ from .endspace import (
     immediate_predecessors,
     in_EG,
     invariant_bundle,
-    maximal_types,
     node,
     planar_tower,
     preceq,
 )
-from .oracle import oracle_preceq
 
 __version__ = "0.1.0"
 
@@ -55,7 +53,6 @@ __all__ = [
     "ValidationResult", "Verdict", "below", "canonicalize", "classify",
     "e_cp", "emit_report", "equivalent", "fmap_flux_rank", "format_type",
     "generator_bounds", "immediate_predecessors", "in_EG", "invariant_bundle",
-    "maximal_types", "node", "oracle_preceq", "parse", "planar_tower",
-    "preceq", "report_to_dict", "self_similarity", "spec_to_text",
-    "tng_verdict", "validate",
+    "node", "parse", "planar_tower", "preceq", "report_to_dict",
+    "self_similarity", "spec_to_text", "tng_verdict", "validate",
 ]

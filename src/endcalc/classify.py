@@ -13,6 +13,11 @@ predecessor set over admissible pairs, M_iso the isolated non-puncture
 types, G0 the types whose genus accumulation is direct.  These drive the
 bounds max(1, M_iso - 1) <= n(S) <= max(1, M(M + C - 1)) and the
 generating budget (C*M shifts, M(M-2) twist generators, M handle shifts).
+
+Every public function accepts a raw spec.  A spec marked ``validated`` by
+:func:`endcalc.endspace.canonicalize_spec` is trusted as canonical and not
+canonicalized again, so parsing and classifying a text canonicalizes it
+once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .endspace import (
     InvariantBundle,
     SpecError,
     SurfaceSpec,
+    below,
     canonicalize_spec,
     e_cp,
     format_type,
@@ -74,13 +80,13 @@ class ValidationResult:
 
 
 def validate(s: SurfaceSpec) -> ValidationResult:
-    """Canonicalize and check the model invariants, collecting diagnostics."""
-    canonical, diags = canonicalize_spec(s)
+    """Canonicalize and check the model invariants, collecting diagnostics.
+
+    A spec marked ``validated`` is already canonical and is used as is."""
+    canonical, diags = (s, ()) if s.validated else canonicalize_spec(s)
     if diags:
         return ValidationResult(False, tuple(diags), (), None)
     notes = [MODEL_NOTE]
-    from .endspace import below
-
     for t in canonical.root_types():
         if any(u.self_accumulating and u != t for u in below(t)):
             notes.append("a Cantor class accumulated by further Cantor "
@@ -91,6 +97,10 @@ def validate(s: SurfaceSpec) -> ValidationResult:
 
 
 def require_valid(s: SurfaceSpec) -> SurfaceSpec:
+    """The canonical form of s; a spec marked ``validated`` is returned
+    unchanged."""
+    if s.validated:
+        return s
     res = validate(s)
     if not res.ok:
         raise SpecError(res.diagnostics)
@@ -166,71 +176,64 @@ class TNGVerdict:
     notes: Tuple[str, ...] = ()
 
 
-def _flux_characters(s: SurfaceSpec):
-    """Cluster-flux characters with their unit-image generators."""
+def _flux_characters(s: SurfaceSpec) -> List[Character]:
+    """Cluster-flux characters: shared predecessors, then handles."""
     out = []
     types = sorted(s.root_types(), key=sort_key)
     for i, a in enumerate(types):
         for b in types[i + 1:]:
             for z in sorted(e_cp(s, a, b), key=sort_key):
-                zn, an, bn = format_type(z), format_type(a), format_type(b)
-                out.append((Character("FLUX", z=zn, pair=(an, bn)),
-                            GeneratorImage("shift[%s:%s->%s]" % (zn, an, bn),
-                                           "shift", ())))
+                out.append(Character("FLUX", z=format_type(z),
+                                     pair=(format_type(a), format_type(b))))
     g0 = sorted((t for t in types if t.direct_genus), key=sort_key)
     for i, a in enumerate(g0):
         for b in g0[i + 1:]:
-            an, bn = format_type(a), format_type(b)
-            out.append((Character("FLUX", z="handle", pair=(an, bn)),
-                        GeneratorImage("handle_shift[%s->%s]" % (an, bn),
-                                       "handle_shift", ())))
+            out.append(Character("FLUX", z="handle",
+                                 pair=(format_type(a), format_type(b))))
     return out
 
 
-def _parity_characters(s: SurfaceSpec):
-    out = []
-    for t, m in s.roots:
-        if m is not CANTOR and m >= 2:
-            tn = format_type(t)
-            out.append((Character("PARITY", maximal_type=tn),
-                        GeneratorImage("half_twist[%s]" % tn,
-                                       "half_twist", ())))
+def _parity_characters(s: SurfaceSpec) -> List[Character]:
+    out = [Character("PARITY", maximal_type=format_type(t))
+           for t, m in s.roots if m is not CANTOR and m >= 2]
     if s.extra_punctures >= 2:
-        out.append((Character("PARITY", maximal_type="puncture"),
-                    GeneratorImage("half_twist[puncture]", "half_twist", ())))
+        out.append(Character("PARITY", maximal_type="puncture"))
     return out
 
 
-def _mod2_pairs(s: SurfaceSpec):
+def _mod2_pairs(s: SurfaceSpec) -> List[Tuple[Character, Character]]:
     """(FLUX_MOD2, PARITY) pairs available for repeated classes."""
     out = []
     for t, m in s.roots:
         if m is CANTOR or m < 2:
             continue
         tn = format_type(t)
-        parity = (Character("PARITY", maximal_type=tn),
-                  GeneratorImage("half_twist[%s]" % tn, "half_twist", ()))
-        for z in sorted(e_cp(s, t, t), key=sort_key):
-            zn = format_type(z)
-            out.append(((Character("FLUX_MOD2", z=zn, pair=(tn, tn)),
-                         GeneratorImage("shift[%s:%s->%s]" % (zn, tn, tn),
-                                        "shift", ())), parity))
+        zs = [format_type(z) for z in sorted(e_cp(s, t, t), key=sort_key)]
         if HANDLE in immediate_predecessors(t):
-            out.append(((Character("FLUX_MOD2", z="handle", pair=(tn, tn)),
-                         GeneratorImage("handle_shift[%s->%s]" % (tn, tn),
-                                        "handle_shift", ())), parity))
+            zs.append("handle")
+        out.extend((Character("FLUX_MOD2", z=zn, pair=(tn, tn)),
+                    Character("PARITY", maximal_type=tn)) for zn in zs)
     return out
 
 
-def _assemble_witness(selected) -> ObstructionWitness:
-    chars = tuple(c for c, _ in selected)
+def _generator(c: Character, image: Tuple[int, ...]) -> GeneratorImage:
+    """The generator moving one unit across character c, with its image."""
+    if c.kind == "PARITY":
+        return GeneratorImage("half_twist[%s]" % c.maximal_type, "half_twist",
+                              image)
+    a, b = c.pair
+    if c.z == "handle":
+        return GeneratorImage("handle_shift[%s->%s]" % (a, b), "handle_shift",
+                              image)
+    return GeneratorImage("shift[%s:%s->%s]" % (c.z, a, b), "shift", image)
+
+
+def _assemble_witness(chars) -> ObstructionWitness:
+    chars = tuple(chars)
     free = sum(1 for c in chars if c.kind == "FLUX")
-    torsion = len(chars) - free
-    gens = []
-    for i, (_, g) in enumerate(selected):
-        image = tuple(1 if j == i else 0 for j in range(len(selected)))
-        gens.append(GeneratorImage(g.name, g.kind, image))
-    return ObstructionWitness(free, torsion, chars, tuple(gens))
+    gens = tuple(_generator(c, tuple(int(j == i) for j in range(len(chars))))
+                 for i, c in enumerate(chars))
+    return ObstructionWitness(free, len(chars) - free, chars, gens)
 
 
 def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
@@ -250,22 +253,15 @@ def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
         return _assemble_witness(parity[:2])
     pairs = _mod2_pairs(s)
     if pairs:
-        (mod2, par) = pairs[0]
-        return _assemble_witness([mod2, par])
+        return _assemble_witness(pairs[0])
     return None
 
 
 def _double_flux_witness(s: SurfaceSpec, u: EndType,
                          p: EndType) -> ObstructionWitness:
-    zs = sorted(e_cp(s, u, p), key=sort_key)[:2]
-    un, pn = format_type(u), format_type(p)
-    selected = []
-    for z in zs:
-        zn = format_type(z)
-        selected.append((Character("FLUX", z=zn, pair=(un, pn)),
-                         GeneratorImage("shift[%s:%s->%s]" % (zn, un, pn),
-                                        "shift", ())))
-    return _assemble_witness(selected)
+    pair = (format_type(u), format_type(p))
+    return _assemble_witness(Character("FLUX", z=format_type(z), pair=pair)
+                             for z in sorted(e_cp(s, u, p), key=sort_key)[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ fall outside the finite-rank model and are rejected at the token.
 
 Type names must be defined before use, which makes recursive type
 definitions impossible by construction.
+
+Limits: an integer literal has at most :data:`MAX_INT_DIGITS` digits; an
+exponent, the nesting of ``[`` child lists, and the depth of every type
+built (through aliases too) are at most :data:`MAX_DEPTH`.  Input over a
+limit raises :class:`ParseError` at the offending token.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .classify import (
     NOT_APPLICABLE,
     ObstructionWitness,
     Verdict,
+    require_valid,
 )
 from .endspace import (
     CANTOR,
@@ -49,6 +55,15 @@ from .endspace import (
 
 KEYWORDS = {"type", "root", "sub", "punctures", "genus",
             "acc", "cantor", "puncture", "omega"}
+
+#: Deepest type, child-list nesting and ordinal exponent accepted.  The
+#: parser and the tree walks recurse once per level: depth 300 fits the
+#: default recursion limit, 400 does not.
+MAX_DEPTH = 256
+
+#: Longest integer literal accepted: counts derived from literals (at most
+#: quadratic) stay below 640 digits, which print under any interpreter setting.
+MAX_INT_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.defs: Dict[str, EndType] = {}
+        self.nesting = 0  # open child lists
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -150,7 +166,11 @@ class _Parser:
         return self.next()
 
     def expect_int(self, what: str) -> int:
-        return int(self.expect("INT", what).text)
+        tok = self.expect("INT", what)
+        if len(tok.text) > MAX_INT_DIGITS:
+            raise ParseError("integer literal longer than %d digits"
+                             % MAX_INT_DIGITS, tok.span)
+        return int(tok.text)
 
     # -- statements ---------------------------------------------------------
 
@@ -243,7 +263,7 @@ class _Parser:
         return _ParsedType(self.defs[tok.text])
 
     def parse_node(self, head: str) -> EndType:
-        self.next()  # acc | cantor
+        head_tok = self.next()  # acc | cantor
         self.expect("(", "'('")
         genus = False
         children: List[EndType] = []
@@ -268,11 +288,18 @@ class _Parser:
                                  "(possibly empty)", tok.span,
                                  expected="'['")
         self.expect(")", "')'")
-        return node(genus=genus, cantor=(head == "cantor"),
-                    children=children)
+        t = node(genus=genus, cantor=(head == "cantor"), children=children)
+        if t.depth() > MAX_DEPTH:
+            raise ParseError("type deeper than %d levels" % MAX_DEPTH,
+                             head_tok.span)
+        return t
 
     def parse_child_list(self) -> List[EndType]:
-        self.expect("[", "'['")
+        bracket = self.expect("[", "'['")
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError("child lists nested deeper than %d" % MAX_DEPTH,
+                             bracket.span)
         children: List[EndType] = []
         if self.peek().kind != "]":
             while True:
@@ -283,6 +310,7 @@ class _Parser:
                     break
                 self.next()
         self.expect("]", "']'")
+        self.nesting -= 1
         return children
 
     def parse_ordinal(self) -> _ParsedType:
@@ -291,11 +319,14 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             tok = self.peek()
-            if tok.kind != "INT" or int(tok.text) < 1:
+            k = self.expect_int("an exponent") if tok.kind == "INT" else 0
+            if k < 1:
                 raise ParseError(
                     "exponent must be a literal positive integer "
                     "(finite rank only)", tok.span)
-            k = int(self.next().text)
+            if k > MAX_DEPTH:
+                raise ParseError("exponent above the depth limit %d"
+                                 % MAX_DEPTH, tok.span)
         count = 1
         if self.peek().kind == "*":
             self.next()
@@ -322,14 +353,12 @@ class _Parser:
 def parse(text: str) -> SurfaceSpec:
     """Parse and validate a surface description.
 
-    Raises :class:`ParseError` on syntax errors and
-    :class:`endcalc.endspace.SpecError` when the described surface
-    violates the model invariants.
+    Raises :class:`ParseError` on syntax errors and input over the limits,
+    and :class:`endcalc.endspace.SpecError` when the described surface
+    violates the model invariants.  The result is canonical and marked
+    ``validated``.
     """
-    from .classify import require_valid
-
-    raw = _Parser(text).parse_spec()
-    return require_valid(raw)
+    return require_valid(_Parser(text).parse_spec())
 
 
 def spec_to_text(s: SurfaceSpec) -> str:

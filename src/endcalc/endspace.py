@@ -16,13 +16,18 @@ and cost the same at any depth.  Build a variant of a node with the
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
 Cantor set (the :data:`CANTOR` marker).
+
+Trust contract: :func:`canonicalize_spec` marks its output ``validated``
+when it found no diagnostics, and :mod:`endcalc.classify` trusts a marked
+spec as canonical.  The constructor and ``dataclasses.replace`` cannot set
+the marker, and it plays no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 
@@ -35,11 +40,9 @@ class _Marker:
     def __repr__(self) -> str:
         return self._name
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+    def __reduce__(self):
+        # copies and unpickled values are the module's one instance
+        return self._name
 
 
 #: Marker for a maximal class that is a Cantor set (used as a multiplicity).
@@ -279,12 +282,16 @@ class SurfaceSpec:
         canonical form).
     extra_punctures: isolated planar ends beyond the tree structure.
     extra_genus: finite genus not accumulated at any end.
+    validated: set by :func:`canonicalize_spec` alone, on a canonical spec
+        without diagnostics.
     """
 
     roots: Tuple[Tuple[EndType, Multiplicity], ...] = ()
     subordinates: Tuple[Tuple[EndType, int], ...] = ()
     extra_punctures: int = 0
     extra_genus: int = 0
+    validated: bool = field(default=False, init=False, repr=False,
+                            compare=False)
 
     def root_types(self) -> Tuple[EndType, ...]:
         return tuple(t for t, _ in self.roots)
@@ -338,7 +345,8 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         accumulated by genus.
 
     Diagnostics (fatal) are returned instead of raised so the validator can
-    report all of them at once.
+    report all of them at once.  Output without diagnostics is marked
+    ``validated``.
     """
     diags: list = []
 
@@ -405,6 +413,8 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     if not out.roots:
         diags.append("finite-type surface: no maximal end classes remain "
                      "(only finitely many punctures and finite genus)")
+    if not diags:
+        object.__setattr__(out, "validated", True)
     return out, diags
 
 
@@ -414,11 +424,6 @@ def _merge_mult(a: Optional[Multiplicity], b: Multiplicity) -> Multiplicity:
     if a is CANTOR or b is CANTOR:
         return CANTOR
     return a + b
-
-
-def maximal_types(s: SurfaceSpec) -> Tuple[Tuple[EndType, Multiplicity], ...]:
-    """Maximal end classes with their sizes (finite or CANTOR)."""
-    return s.roots
 
 
 def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:

@@ -1,4 +1,10 @@
+import dataclasses
+import importlib
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -29,10 +35,12 @@ from endcalc.endspace import (
     PUNCTURE,
     SpecError,
     SurfaceSpec,
+    canonicalize_spec,
     flute,
     node,
     planar_tower,
 )
+from endcalc.dsl import emit_report, parse
 from conftest import check_witness_on_models, random_spec
 
 FLUTE = flute()
@@ -296,3 +304,82 @@ class TestClassifyAssembly:
         assert r.verdict.verdict is Verdict.NO
         assert r.bounds.upper == 9
         assert r.notes
+
+
+class TestTrustContract:
+    """A spec marked ``validated`` is trusted as canonical; only
+    canonicalize_spec marks one."""
+
+    def test_parse_then_classify_canonicalizes_once(self, monkeypatch):
+        # the submodule, not the function the package exports under its name
+        module = importlib.import_module("endcalc.classify")
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return canonicalize_spec(s)
+
+        monkeypatch.setattr(module, "canonicalize_spec", counting)
+        r = classify(parse("root omega^2 + 1 * 2\nroot acc(genus,[]) * 3\n"
+                           "punctures 2\n"))
+        assert r.verdict.verdict is Verdict.NO
+        assert len(calls) == 1
+
+    def test_replaced_spec_is_not_trusted(self):
+        parsed = parse("root omega^2 + 1")
+        assert parsed.validated
+        (root,) = parsed.roots
+        doubled = dataclasses.replace(parsed, roots=(root, root))
+        assert not doubled.validated
+        with pytest.raises(ValueError):
+            dataclasses.replace(parsed, validated=True)
+        with pytest.raises(TypeError):
+            SurfaceSpec(roots=parsed.roots, validated=True)
+        expected = parse("root omega^2 + 1 * 2")
+        res = validate(doubled)
+        assert res.canonical == expected and res.canonical.validated
+        assert (emit_report(classify(doubled))
+                == emit_report(classify(expected)))
+        assert tng_verdict(doubled) == tng_verdict(expected)
+        assert tng_verdict(doubled).verdict is Verdict.NO
+        assert self_similarity(doubled) is SelfSimilarity.NOT
+        assert generator_bounds(doubled) == generator_bounds(expected)
+        assert fmap_flux_rank(doubled) == fmap_flux_rank(expected) == 1
+        assert (handle_pair_generators(doubled)
+                == handle_pair_generators(expected))
+
+    @pytest.mark.parametrize("raw", [
+        SurfaceSpec(roots=((FLUTE, 0),)),
+        SurfaceSpec(roots=((FLUTE, 1),), extra_punctures=-1),
+        SurfaceSpec(roots=((FLUTE, 1),), subordinates=((LOCH_NESS, 1),)),
+        SurfaceSpec(roots=((PUNCTURE, 2),), extra_genus=1),
+        SurfaceSpec(),
+    ])
+    def test_spec_with_diagnostics_is_never_marked(self, raw):
+        out, diags = canonicalize_spec(raw)
+        assert diags and not out.validated
+        with pytest.raises(SpecError):
+            classify(raw)
+
+    def test_marker_takes_no_part_in_value(self):
+        parsed = parse("root omega + 1 * 2\nroot acc(genus,[])\n")
+        built = SurfaceSpec(roots=((LOCH_NESS, 1), (FLUTE, 2)))
+        assert parsed.validated and not built.validated
+        assert built == parsed and hash(built) == hash(parsed)
+        assert repr(built) == repr(parsed)
+
+    def test_pickle_round_trip_keeps_value(self):
+        parsed = parse("root cantor(genus,[omega+1]) * cantor\npunctures 1\n")
+        copy = pickle.loads(pickle.dumps(parsed))
+        assert copy == parsed and hash(copy) == hash(parsed)
+        assert emit_report(classify(copy)) == emit_report(classify(parsed))
+
+
+def test_import_does_not_load_the_oracle():
+    # the brute-force oracle is test-only machinery
+    code = "import sys, endcalc; print('endcalc.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ,
+                                  PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout == "False\n"

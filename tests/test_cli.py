@@ -147,6 +147,21 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    @pytest.mark.parametrize("text", [
+        "root omega^5000 + 1\n",
+        "root " + "acc([" * 1000 + "])" * 1000 + "\n",
+        "type t0 = acc([puncture])\n"
+        + "".join("type t%d = acc([t%d])\n" % (i, i - 1)
+                  for i in range(1, 600)) + "root t599\n",
+        "root omega^%s + 1\n" % ("7" * 5000),
+    ], ids=["tower", "nesting", "alias-chain", "digits"])
+    def test_input_over_the_limits(self, text, tmp_path, capsys):
+        path = tmp_path / "big.surf"
+        path.write_text(text)
+        assert main(["classify", str(path), "--json"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_expect_gate(self, capsys):
         assert main(["classify", str(CORPUS / "flute.surf"),
                      "--expect", "YES"]) == EXIT_OK

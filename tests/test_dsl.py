@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endcalc.classify import classify
 from endcalc.dsl import (
+    MAX_DEPTH,
+    MAX_INT_DIGITS,
     ParseError,
     emit_report,
     parse,
@@ -133,6 +136,77 @@ class TestParse:
             parse("punctures 3")
         with pytest.raises(SpecError):
             parse("root omega + 1\nsub acc(genus,[]) * 1")
+
+
+def _nested(n):
+    return "root " + "acc([" * n + "])" * n
+
+
+def _alias_chain(n):
+    """n aliases, each one level deeper than the last: deep, never nested."""
+    lines = ["type t0 = acc([puncture])"]
+    lines += ["type t%d = acc([t%d])" % (i, i - 1) for i in range(1, n)]
+    return "\n".join(lines) + "\nroot t%d\n" % (n - 1)
+
+
+class TestLimits:
+    def test_at_the_limits(self):
+        tower = parse("root omega^%d + 1" % MAX_DEPTH)
+        assert tower.roots[0][0] == planar_tower(MAX_DEPTH)
+        assert parse(_alias_chain(MAX_DEPTH)) == tower
+        assert parse(_nested(MAX_DEPTH)).roots[0][0].depth() == MAX_DEPTH - 1
+        big = "9" * MAX_INT_DIGITS
+        s = parse("root omega * %s + 1 * %s\nroot acc(genus,[]) * %s\n"
+                  "punctures %s\n" % (big, big, big, big))
+        r = classify(s)
+        n = int(big)
+        assert r.bounds.handle_pair_generators == n * (n - 1) // 2
+        assert emit_report(r, "JSON") and emit_report(r, "TEXT")
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("root omega^%d + 1" % (MAX_DEPTH + 1), 1, 12),
+        ("root omega^5000 + 1", 1, 12),
+        (_nested(MAX_DEPTH + 1), 1, 6 + 5 * MAX_DEPTH + 4),
+        (_nested(1000), 1, 6 + 5 * MAX_DEPTH + 4),
+        (_alias_chain(MAX_DEPTH + 1), MAX_DEPTH + 1, 13),
+        (_alias_chain(600), MAX_DEPTH + 1, 13),
+        ("root omega^%s + 1" % ("7" * 5000), 1, 12),
+        ("root omega + 1\npunctures 1%s" % ("0" * MAX_INT_DIGITS), 2, 11),
+    ], ids=["exponent", "exponent-5000", "nesting", "nesting-1000",
+            "alias-chain", "alias-chain-600", "exponent-digits",
+            "count-digits"])
+    def test_over_the_limits(self, text, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.span.line, exc.value.span.column) == (line, column)
+        assert (str(MAX_DEPTH) in exc.value.message
+                or str(MAX_INT_DIGITS) in exc.value.message)
+
+
+_TOKENS = ("type", "root", "sub", "punctures", "genus", "acc", "cantor",
+           "puncture", "omega", "t", "u", "(", ")", "[", "]", ",", "*", "+",
+           "^", "=", "#", "\n", "0", "1", "2", "7")
+_NUMBER_STATEMENTS = ("root omega^%s + 1", "root omega * %s + 1",
+                      "root omega + 1 * %s", "sub omega + 1 * %s",
+                      "punctures %s", "genus %s", "type t = omega^%s + 1")
+_FRAGMENTS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join),
+    st.builds(lambda n, head, tail: "root " + (head + "([") * n + tail,
+              st.integers(1, 1200), st.sampled_from(("acc", "cantor")),
+              st.sampled_from(("", "])", "]) " * 300, "]) " * 1200))),
+    st.integers(1, 700).map(_alias_chain),
+    st.builds(lambda form, n, d: form % (d * n), st.sampled_from(
+        _NUMBER_STATEMENTS), st.integers(1, 6000), st.sampled_from("0179")),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_FRAGMENTS, min_size=1, max_size=3).map("\n".join))
+def test_parse_raises_only_its_own_errors(text):
+    try:
+        parse(text)
+    except (ParseError, SpecError):
+        pass
 
 
 class TestRoundTrip:

@@ -25,7 +25,6 @@ from endcalc.endspace import (
     immediate_predecessors,
     in_EG,
     invariant_bundle,
-    maximal_types,
     node,
     planar_tower,
     preceq,
@@ -221,15 +220,15 @@ class TestSurfaceSpec:
     def test_flute_spec(self):
         s, diags = canonicalize_spec(SurfaceSpec(roots=((FLUTE, 1),)))
         assert not diags
-        assert maximal_types(s) == ((canonicalize(FLUTE), 1),)
+        assert s.roots == ((canonicalize(FLUTE), 1),)
 
     def test_two_towers(self):
         s, _ = canonicalize_spec(SurfaceSpec(roots=((planar_tower(2), 2),)))
-        assert maximal_types(s) == ((planar_tower(2), 2),)
+        assert s.roots == ((planar_tower(2), 2),)
 
     def test_cantor_tree(self):
         s, _ = canonicalize_spec(SurfaceSpec(roots=((CANTOR_LEAF, CANTOR),)))
-        assert maximal_types(s) == ((CANTOR_LEAF, CANTOR),)
+        assert s.roots == ((CANTOR_LEAF, CANTOR),)
 
     def test_cantor_marker_and_flag_agree(self):
         # a finite multiplicity on a self-accumulating type upgrades to CANTOR
@@ -244,7 +243,7 @@ class TestSurfaceSpec:
         raw = SurfaceSpec(roots=((FLUTE, 1), (node(children=[PUNCTURE]), 2)))
         s, diags = canonicalize_spec(raw)
         assert not diags
-        assert maximal_types(s) == ((canonicalize(FLUTE), 3),)
+        assert s.roots == ((canonicalize(FLUTE), 3),)
 
     def test_dominated_root_absorbed(self):
         raw = SurfaceSpec(roots=((FLUTE, 1), (PUNCTURE, 2)))
