@@ -23,6 +23,14 @@ fall outside the finite-rank model and are rejected at the token.
 Type names must be defined before use, which makes recursive type
 definitions impossible by construction.
 
+Tokens are ASCII: NAME is ``[A-Za-z_][A-Za-z0-9_]*`` and INT is ``[0-9]+``;
+any other character but whitespace and ``#`` is a token of its own, so a
+non-ASCII letter or digit is a parse error.  One regex ``findall`` yields
+the token texts.  A token's source span is computed only when a
+:class:`ParseError` reports it, by scanning again: lines end at ``"\\n"``
+alone, and every other character, ``"\\r"``, tab and form feed included,
+is one column.
+
 Limits: an integer literal has at most :data:`MAX_INT_DIGITS` digits; an
 exponent, the nesting of ``[`` child lists, and the depth of every type
 built (through aliases too) are at most :data:`MAX_DEPTH`.  Input over a
@@ -31,6 +39,7 @@ limit raises :class:`ParseError` at the offending token.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -45,10 +54,10 @@ from .classify import (
 )
 from .endspace import (
     CANTOR,
+    PUNCTURE,
     EndType,
     SurfaceSpec,
     format_type,
-    node,
     planar_tower,
     sort_key,
 )
@@ -87,90 +96,73 @@ class ParseError(ValueError):
         super().__init__("%s at %s%s" % (message, span, detail))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME | INT | punctuation
-    text: str
-    span: SourceSpan
+#: One match per token.  Whitespace and ``#`` comments are skipped as a
+#: prefix; ``#`` is no token character, so a final comment cannot split
+#: into tokens, and the empty ``\Z`` token ends the stream, so the prefix
+#: always succeeds and a search never skips text.
+_TOKEN_RE = re.compile(
+    r"(?:\s|#[^\n]*)*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[^\s#]|\Z)")
 
+#: Token kind by first character; any other token is one character, which
+#: is its own kind.
+_KINDS = {"": "EOF", **dict.fromkeys("0123456789", "INT"), **dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME")}
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],*+^=]|\S")
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "#":
-            while pos < len(text) and text[pos] != "\n":
-                pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:  # pragma: no cover - the regex matches any non-space
-            pos += 1
-            continue
-        tok = m.group()
-        span = SourceSpan(line, pos - line_start + 1, pos, m.end())
-        if tok[0].isalpha() or tok[0] == "_":
-            kind = "NAME"
-        elif tok[0].isdigit():
-            kind = "INT"
-        else:
-            kind = tok
-        tokens.append(_Token(kind, tok, span))
-        pos = m.end()
-    end_span = SourceSpan(line, len(text) - line_start + 1,
-                          len(text), len(text))
-    tokens.append(_Token("EOF", "", end_span))
-    return tokens
-
-
-@dataclass
-class _ParsedType:
-    tree: EndType
-    count: int = 1          # from an ordinal's "* n"
-    extra_punctures: int = 0  # from an ordinal's "+ m", m > 1
+#: A parsed type expression: (tree, count, extra punctures).
+_Parsed = Tuple[EndType, int, int]
 
 
 class _Parser:
+    """Recursive descent over token texts; a token is named by its index."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.texts = _TOKEN_RE.findall(text)
         self.pos = 0
         self.defs: Dict[str, EndType] = {}
         self.nesting = 0  # open child lists
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """Text of the current token, "" at the end of input."""
+        return self.texts[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+    def kind(self, i: int) -> str:
+        """NAME, INT, EOF, or the one character of any other token."""
+        t = self.texts[i]
+        return _KINDS.get(t[:1], t)
+
+    def next(self) -> int:
+        """Consume the current token, unless it ends the input; its index."""
+        i = self.pos
+        if self.texts[i]:
             self.pos += 1
-        return tok
+        return i
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError("unexpected %r" % (tok.text or "end of input"),
-                             tok.span, expected=what)
-        return self.next()
+    def expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        t = self.texts[i]
+        if _KINDS.get(t[:1], t) != kind:
+            raise self.error("unexpected %r" % (t or "end of input"), i, what)
+        self.pos += 1
+        return i
 
     def expect_int(self, what: str) -> int:
-        tok = self.expect("INT", what)
-        if len(tok.text) > MAX_INT_DIGITS:
-            raise ParseError("integer literal longer than %d digits"
-                             % MAX_INT_DIGITS, tok.span)
-        return int(tok.text)
+        i = self.expect("INT", what)
+        if len(self.texts[i]) > MAX_INT_DIGITS:
+            raise self.error("integer literal longer than %d digits"
+                             % MAX_INT_DIGITS, i)
+        return int(self.texts[i])
+
+    def span(self, i: int) -> SourceSpan:
+        """Where token i lies, found by scanning the text again."""
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
+        start, end = m.span(1)
+        return SourceSpan(self.text.count("\n", 0, start) + 1,
+                          start - self.text.rfind("\n", 0, start), start, end)
+
+    def error(self, message: str, i: int,
+              expected: Optional[str] = None) -> ParseError:
+        return ParseError(message, self.span(i), expected)
 
     # -- statements ---------------------------------------------------------
 
@@ -179,175 +171,162 @@ class _Parser:
         subs: List[Tuple[EndType, int]] = []
         punctures = 0
         genus = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind != "NAME":
-                raise ParseError("unexpected %r" % tok.text, tok.span,
-                                 expected="a statement keyword")
-            if tok.text == "type":
-                self.next()
-                name = self.expect("NAME", "type name")
-                if name.text in KEYWORDS:
-                    raise ParseError("%r is a reserved word" % name.text,
-                                     name.span)
-                if name.text in self.defs:
-                    raise ParseError("type %r already defined" % name.text,
-                                     name.span)
+        while self.peek():
+            i = self.next()
+            word = self.texts[i]
+            if word == "type":
+                n = self.expect("NAME", "type name")
+                name = self.texts[n]
+                if name in KEYWORDS:
+                    raise self.error("%r is a reserved word" % name, n)
+                if name in self.defs:
+                    raise self.error("type %r already defined" % name, n)
                 self.expect("=", "'='")
-                parsed = self.parse_typeexpr()
-                self._require_plain(parsed, name.span,
-                                    "a type definition")
-                self.defs[name.text] = parsed.tree
-            elif tok.text == "root":
-                self.next()
-                parsed = self.parse_typeexpr()
-                mult: object = parsed.count
-                if self.peek().kind == "*":
+                self.defs[name] = self._plain(self.parse_typeexpr(), n,
+                                              "a type definition")
+            elif word == "root":
+                tree, count, extra = self.parse_typeexpr()
+                mult: object = count
+                if self.peek() == "*":
                     self.next()
-                    nxt = self.peek()
-                    if nxt.kind == "NAME" and nxt.text == "cantor":
+                    if self.peek() == "cantor":
                         self.next()
                         mult = CANTOR
                     else:
-                        mult = parsed.count * self.expect_int(
+                        mult = count * self.expect_int(
                             "a multiplicity or 'cantor'")
-                roots.append((parsed.tree, mult))
-                punctures += parsed.extra_punctures
-            elif tok.text == "sub":
-                self.next()
-                parsed = self.parse_typeexpr()
-                self._require_plain(parsed, tok.span, "a subordinate")
+                roots.append((tree, mult))
+                punctures += extra
+            elif word == "sub":
+                tree = self._plain(self.parse_typeexpr(), i, "a subordinate")
                 self.expect("*", "'*'")
-                subs.append((parsed.tree, self.expect_int("a count")))
-            elif tok.text == "punctures":
-                self.next()
+                subs.append((tree, self.expect_int("a count")))
+            elif word == "punctures":
                 punctures += self.expect_int("a puncture count")
-            elif tok.text == "genus":
-                self.next()
+            elif word == "genus":
                 genus += self.expect_int("a genus count")
+            elif self.kind(i) != "NAME":
+                raise self.error("unexpected %r" % word, i,
+                                 expected="a statement keyword")
             else:
-                raise ParseError("unknown statement %r" % tok.text, tok.span,
+                raise self.error("unknown statement %r" % word, i,
                                  expected="type, root, sub, punctures or genus")
         return SurfaceSpec(roots=tuple(roots), subordinates=tuple(subs),
                            extra_punctures=punctures, extra_genus=genus)
 
-    @staticmethod
-    def _require_plain(parsed: _ParsedType, span: SourceSpan,
-                       where: str) -> None:
-        if parsed.count != 1 or parsed.extra_punctures:
-            raise ParseError(
+    def _plain(self, parsed: _Parsed, i: int, where: str) -> EndType:
+        """The tree of a type expression that must carry no multiplicity."""
+        tree, count, extra = parsed
+        if count != 1 or extra:
+            raise self.error(
                 "ordinal multiplicities are only meaningful in root "
-                "statements, not in %s" % where, span)
+                "statements, not in %s" % where, i)
+        return tree
 
     # -- type expressions ----------------------------------------------------
 
-    def parse_typeexpr(self) -> _ParsedType:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise ParseError("unexpected %r" % tok.text, tok.span,
-                             expected="a type expression")
-        if tok.text == "puncture":
-            self.next()
-            return _ParsedType(node())
-        if tok.text == "omega":
+    def parse_typeexpr(self) -> _Parsed:
+        """(tree, count, extra punctures): only an ordinal's ``* n`` and
+        ``+ m`` make the last two other than 1 and 0."""
+        i = self.pos
+        word = self.texts[i]
+        if word == "omega":
             return self.parse_ordinal()
-        if tok.text in ("acc", "cantor"):
-            return _ParsedType(self.parse_node(tok.text))
-        self.next()
-        if tok.text not in self.defs:
-            raise ParseError(
+        if word in ("acc", "cantor"):
+            return self.parse_node(word), 1, 0
+        if word == "puncture":
+            tree = PUNCTURE
+        elif word in self.defs:
+            tree = self.defs[word]
+        elif self.kind(i) != "NAME":
+            raise self.error("unexpected %r" % word, i,
+                             expected="a type expression")
+        else:
+            raise self.error(
                 "unknown type name %r (types must be defined before use, "
-                "so definitions cannot recurse)" % tok.text, tok.span)
-        return _ParsedType(self.defs[tok.text])
+                "so definitions cannot recurse)" % word, i)
+        self.next()
+        return tree, 1, 0
 
     def parse_node(self, head: str) -> EndType:
-        head_tok = self.next()  # acc | cantor
+        head_i = self.next()  # acc | cantor
         self.expect("(", "'('")
         genus = False
         children: List[EndType] = []
         saw_children = False
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text == "genus":
+        if self.peek() == "genus":
             self.next()
             genus = True
-            if self.peek().kind == ",":
+            if self.peek() == ",":
                 self.next()
                 saw_children = True
                 children = self.parse_child_list()
-        elif tok.kind == "[":
+        elif self.peek() == "[":
             saw_children = True
             children = self.parse_child_list()
         if head == "acc" and not saw_children:
-            tok = self.peek()
-            if tok.kind == "[":
+            if self.peek() == "[":
                 children = self.parse_child_list()
             else:
-                raise ParseError("an accumulation node needs a child list "
-                                 "(possibly empty)", tok.span,
+                raise self.error("an accumulation node needs a child list "
+                                 "(possibly empty)", self.pos,
                                  expected="'['")
         self.expect(")", "')'")
-        t = node(genus=genus, cantor=(head == "cantor"), children=children)
+        t = EndType(genus, head == "cantor", frozenset(children))
         if t.depth() > MAX_DEPTH:
-            raise ParseError("type deeper than %d levels" % MAX_DEPTH,
-                             head_tok.span)
+            raise self.error("type deeper than %d levels" % MAX_DEPTH, head_i)
         return t
 
     def parse_child_list(self) -> List[EndType]:
         bracket = self.expect("[", "'['")
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            raise ParseError("child lists nested deeper than %d" % MAX_DEPTH,
-                             bracket.span)
+            raise self.error("child lists nested deeper than %d" % MAX_DEPTH,
+                             bracket)
         children: List[EndType] = []
-        if self.peek().kind != "]":
+        if self.peek() != "]":
             while True:
-                parsed = self.parse_typeexpr()
-                self._require_plain(parsed, self.peek().span, "a child type")
-                children.append(parsed.tree)
-                if self.peek().kind != ",":
+                children.append(self._plain(self.parse_typeexpr(), self.pos,
+                                            "a child type"))
+                if self.peek() != ",":
                     break
                 self.next()
         self.expect("]", "']'")
         self.nesting -= 1
         return children
 
-    def parse_ordinal(self) -> _ParsedType:
-        omega = self.expect("NAME", "'omega'")
+    def parse_ordinal(self) -> _Parsed:
+        omega = self.next()
         k = 1
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.next()
-            tok = self.peek()
-            k = self.expect_int("an exponent") if tok.kind == "INT" else 0
+            i = self.pos
+            k = self.expect_int("an exponent") if self.kind(i) == "INT" else 0
             if k < 1:
-                raise ParseError(
+                raise self.error(
                     "exponent must be a literal positive integer "
-                    "(finite rank only)", tok.span)
+                    "(finite rank only)", i)
             if k > MAX_DEPTH:
-                raise ParseError("exponent above the depth limit %d"
-                                 % MAX_DEPTH, tok.span)
+                raise self.error("exponent above the depth limit %d"
+                                 % MAX_DEPTH, i)
         count = 1
-        if self.peek().kind == "*":
+        if self.peek() == "*":
             self.next()
+            i = self.pos
             count = self.expect_int("a repetition count")
             if count < 1:
-                raise ParseError("repetition count must be positive",
-                                 self.tokens[self.pos - 1].span)
-        tok = self.peek()
-        if tok.kind != "+":
-            raise ParseError(
+                raise self.error("repetition count must be positive", i)
+        if self.peek() != "+":
+            raise self.error(
                 "ordinal shorthand must end in '+ 1': end spaces are "
                 "compact, so the accumulation point belongs to the "
-                "surface", tok.span, expected="'+'")
+                "surface", self.pos, expected="'+'")
         self.next()
         tail = self.expect_int("an integer (at least 1)")
         if tail < 1:
-            raise ParseError("the compactification point is mandatory: "
-                             "the trailing term must be at least 1",
-                             omega.span)
-        return _ParsedType(planar_tower(k), count=count,
-                           extra_punctures=tail - 1)
+            raise self.error("the compactification point is mandatory: "
+                             "the trailing term must be at least 1", omega)
+        return planar_tower(k), count, tail - 1
 
 
 def parse(text: str) -> SurfaceSpec:

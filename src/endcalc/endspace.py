@@ -208,6 +208,7 @@ def strictly_below(y: EndType, x: EndType) -> bool:
     return preceq(y, x) and not equivalent(y, x)
 
 
+@functools.lru_cache(maxsize=None)
 def immediate_predecessors(x: EndType) -> FrozenSet[Union[EndType, _Marker]]:
     """Maximal types strictly below x, plus HANDLE when genus is direct.
 
@@ -357,9 +358,10 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
             diags.append("root multiplicity must be a positive integer or "
                          "CANTOR: %s" % format_type(ct))
             continue
-        if m is CANTOR or ct.self_accumulating:
+        if (m is CANTOR or ct.self_accumulating) and not ct.is_puncture():
             # a Cantor class accumulates on itself, so marker and flag imply
-            # each other; normalize to flag-set + CANTOR
+            # each other; normalize to flag-set + CANTOR.  A Cantor class of
+            # punctures keeps its type and is diagnosed below.
             ct = canonicalize(EndType(ct.direct_genus, True, ct.children))
             m = CANTOR
         roots[ct] = _merge_mult(roots.get(ct), m)

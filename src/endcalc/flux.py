@@ -123,15 +123,18 @@ def phi(f: EndPerm, cut: Union[int, CutPosition] = 0) -> int:
     c = _cut_value(cut)
     left_right = 0
     right_left = 0
+    overridden = 0  # table keys among the |d| indices translated across c
     for i, v in f.table.items():
         if i < c <= v:
             left_right += 1
         elif v < c <= i:
             right_left += 1
+        if c - f.d <= i < c or c <= i < c - f.d:
+            overridden += 1
     if f.d > 0:
-        left_right += sum(1 for i in range(c - f.d, c) if i not in f.table)
+        left_right += f.d - overridden
     elif f.d < 0:
-        right_left += sum(1 for i in range(c, c - f.d) if i not in f.table)
+        right_left += -f.d - overridden
     return left_right - right_left
 
 

@@ -162,6 +162,22 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("root omega^\u00b2 + 1\n", "exponent must be a literal positive"),
+        ("root omega + 1\ngenus \u0663\n", "unexpected '\u0663'"),
+        ("root \u00e9\n", "unexpected '\u00e9'"),
+        ("root puncture * cantor\n", "a Cantor class of isolated punctures"),
+        ("root acc([]) * cantor\n", "a Cantor class of isolated punctures"),
+    ], ids=["superscript-two", "arabic-indic-three", "e-acute",
+            "puncture-cantor", "empty-acc-cantor"])
+    def test_rejected_input(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.surf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["classify", str(path), "--json"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_expect_gate(self, capsys):
         assert main(["classify", str(CORPUS / "flute.surf"),
                      "--expect", "YES"]) == EXIT_OK
@@ -178,6 +194,10 @@ class TestFluxCommand:
         assert main(["flux", "phi", "--perm", "d=0 table={0:1,1:0}",
                      "--cut", "0"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_phi_large_translation(self, capsys):
+        assert main(["flux", "phi", "--perm", "d=1000000000"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1000000000"
 
     def test_phi_bad_literal(self, capsys):
         assert main(["flux", "phi", "--perm", "nonsense"]) == EXIT_PARSE

@@ -183,9 +183,131 @@ class TestLimits:
                 or str(MAX_INT_DIGITS) in exc.value.message)
 
 
+# Messages and spans pinned from the character-loop tokenizer: the token
+# regex and the lazy spans must reproduce them exactly on ASCII input.
+_PINNED_ERRORS = [
+    ("root omega # flute",
+     "ordinal shorthand must end in '+ 1': end spaces are compact, so the "
+     "accumulation point belongs to the surface at line 1, column 19 "
+     "(expected '+')", (1, 19, 18, 18)),
+    ("# one\n# two\n*",
+     "unexpected '*' at line 3, column 1 (expected a statement keyword)",
+     (3, 1, 12, 13)),
+    ("root omega + # c",
+     "unexpected 'end of input' at line 1, column 17 "
+     "(expected an integer (at least 1))", (1, 17, 16, 16)),
+    ("root omega + 1\nroot acc( # open",
+     "an accumulation node needs a child list (possibly empty) at line 2, "
+     "column 17 (expected '[')", (2, 17, 31, 31)),
+    ("root omega + 1\r\nroot fl\r\n",
+     "unknown type name 'fl' (types must be defined before use, so "
+     "definitions cannot recurse) at line 2, column 6", (2, 6, 21, 23)),
+    ("type fl = acc([puncture])\r\nroot fl\r\nsub fl *\r\n",
+     "unexpected 'end of input' at line 4, column 1 (expected a count)",
+     (4, 1, 46, 46)),
+    ("root omega + 1 # flute\r\n# end\r\nroot omega^\t\f1 +",
+     "unexpected 'end of input' at line 3, column 17 "
+     "(expected an integer (at least 1))", (3, 17, 47, 47)),
+    ("root\tomega\f^\t0 + 1",
+     "exponent must be a literal positive integer (finite rank only) at "
+     "line 1, column 14", (1, 14, 13, 14)),
+    ("\f\froot\v omega +\x1c 1\n\tgenus x",
+     "unexpected 'x' at line 2, column 8 (expected a genus count)",
+     (2, 8, 26, 27)),
+    ("root omega + 1\n\ntype",
+     "unexpected 'end of input' at line 3, column 5 (expected type name)",
+     (3, 5, 20, 20)),
+    ("root omega#+1",
+     "ordinal shorthand must end in '+ 1': end spaces are compact, so the "
+     "accumulation point belongs to the surface at line 1, column 14 "
+     "(expected '+')", (1, 14, 13, 13)),
+    ("root acc([",
+     "unexpected '' at line 1, column 11 (expected a type expression)",
+     (1, 11, 10, 10)),
+    ("root omega + 1  # ok\nroot acc([ # unclosed\n",
+     "unexpected '' at line 3, column 1 (expected a type expression)",
+     (3, 1, 43, 43)),
+    ("root omega^257 + 1",
+     "exponent above the depth limit 256 at line 1, column 12",
+     (1, 12, 11, 14)),
+    ("root " + "acc([" * 257,
+     "child lists nested deeper than 256 at line 1, column 1290",
+     (1, 1290, 1289, 1290)),
+    ("root omega + 1\ngenus " + "9" * 101,
+     "integer literal longer than 100 digits at line 2, column 7",
+     (2, 7, 21, 122)),
+    ("root acc([omega * 2 + 1])",
+     "ordinal multiplicities are only meaningful in root statements, not in "
+     "a child type at line 1, column 24", (1, 24, 23, 24)),
+    ("sub omega*2+1 * 1",
+     "ordinal multiplicities are only meaningful in root statements, not in "
+     "a subordinate at line 1, column 1", (1, 1, 0, 3)),
+    ("root omega * 0 + 1",
+     "repetition count must be positive at line 1, column 14",
+     (1, 14, 13, 14)),
+    ("root omega + 0",
+     "the compactification point is mandatory: the trailing term must be at "
+     "least 1 at line 1, column 6", (1, 6, 5, 10)),
+    ("root acc(genus x)",
+     "an accumulation node needs a child list (possibly empty) at line 1, "
+     "column 16 (expected '[')", (1, 16, 15, 16)),
+    ("type a = puncture\ntype a = puncture",
+     "type 'a' already defined at line 2, column 6", (2, 6, 23, 24)),
+]
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, message, span", _PINNED_ERRORS, ids=[
+        "trailing-comment", "comments-then-token", "eof-after-comment",
+        "comment-without-newline", "crlf", "crlf-eof", "crlf-tab-formfeed",
+        "tab-formfeed", "vtab-fs", "eof-line-3", "hash-mid-line",
+        "unclosed", "unclosed-after-comment", "exponent-limit",
+        "nesting-limit", "digit-limit", "plain-child", "plain-sub",
+        "repetition", "compactification", "genus-without-list",
+        "already-defined"])
+    def test_pinned_errors(self, text, message, span):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        s = exc.value.span
+        assert (str(exc.value), (s.line, s.column, s.start, s.end)) == \
+            (message, span)
+
+    def test_only_comments(self):
+        with pytest.raises(SpecError, match="finite-type surface"):
+            parse("# one\n# two")
+
+    def test_line_ends_and_spaces_are_separators(self):
+        plain = parse("type fl = acc([puncture])\nroot fl * 2\ngenus 1\n")
+        for sep in ("\r\n", "\n\f", "\n\v", "\n\x1c", "\n\u00a0", "\n\u3000"):
+            assert parse("type fl = acc([puncture])%sroot\tfl *%s2%sgenus 1"
+                         % (sep, sep, sep)) == plain
+
+    @pytest.mark.parametrize("text, message, span", [
+        ("root omega^\u00b2 + 1",
+         "exponent must be a literal positive integer (finite rank only) "
+         "at line 1, column 12", (11, 12)),
+        ("root omega + 1\ngenus \u0663",
+         "unexpected '\u0663' at line 2, column 7 (expected a genus count)",
+         (21, 22)),
+        ("root \u00e9",
+         "unexpected '\u00e9' at line 1, column 6 "
+         "(expected a type expression)", (5, 6)),
+        ("type fl = acc([puncture])\nroot fl\u00e9",
+         "unexpected '\u00e9' at line 2, column 8 "
+         "(expected a statement keyword)", (33, 34)),
+    ], ids=["superscript-two", "arabic-indic-three", "e-acute",
+            "e-acute-after-name"])
+    def test_names_and_integers_are_ascii(self, text, message, span):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+        assert (exc.value.span.start, exc.value.span.end) == span
+
+
 _TOKENS = ("type", "root", "sub", "punctures", "genus", "acc", "cantor",
            "puncture", "omega", "t", "u", "(", ")", "[", "]", ",", "*", "+",
-           "^", "=", "#", "\n", "0", "1", "2", "7")
+           "^", "=", "#", "\n", "0", "1", "2", "7", "\u00b2", "\u0663",
+           "\u00e9", "\u00a0", "\f")
 _NUMBER_STATEMENTS = ("root omega^%s + 1", "root omega * %s + 1",
                       "root omega + 1 * %s", "sub omega + 1 * %s",
                       "punctures %s", "genus %s", "type t = omega^%s + 1")

@@ -215,6 +215,11 @@ class TestImmediatePredecessors:
             for a, b in itertools.combinations(preds, 2):
                 assert not preceq(a, b) and not preceq(b, a)
 
+    def test_memo_agrees_with_the_function(self):
+        for x in enumerate_trees(4, 3, 3):
+            assert immediate_predecessors(x) == \
+                immediate_predecessors.__wrapped__(x)
+
 
 class TestSurfaceSpec:
     def test_flute_spec(self):
@@ -238,6 +243,17 @@ class TestSurfaceSpec:
         s2, _ = canonicalize_spec(SurfaceSpec(roots=((FLUTE, CANTOR),)))
         (t, m), = s2.roots
         assert t.self_accumulating and m is CANTOR
+
+    @pytest.mark.parametrize("roots", [
+        ((PUNCTURE, CANTOR),),
+        ((node(), CANTOR), (PUNCTURE, 2)),
+        ((FLUTE, 1), (PUNCTURE, CANTOR)),
+    ], ids=["alone", "with-finite-punctures", "beside-a-flute"])
+    def test_cantor_class_of_punctures_diagnosed(self, roots):
+        s, diags = canonicalize_spec(SurfaceSpec(roots=roots))
+        assert "a Cantor class of isolated punctures is not a valid end " \
+            "structure" in diags
+        assert not s.validated
 
     def test_equivalent_roots_merge(self):
         raw = SurfaceSpec(roots=((FLUTE, 1), (node(children=[PUNCTURE]), 2)))

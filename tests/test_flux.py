@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,17 @@ class TestEndPerm:
                 assert fi(f(i)) == i and f(fi(i)) == i
 
 
+def _phi_by_counting(f, c):
+    """phi from its definition: each index moved across the cut, one by one."""
+    left_right = sum(1 for i, v in f.table.items() if i < c <= v)
+    right_left = sum(1 for i, v in f.table.items() if v < c <= i)
+    if f.d > 0:
+        left_right += sum(1 for i in range(c - f.d, c) if i not in f.table)
+    elif f.d < 0:
+        right_left += sum(1 for i in range(c, c - f.d) if i not in f.table)
+    return left_right - right_left
+
+
 class TestPhi:
     def test_identity_zero(self):
         assert phi(IDENTITY, CutPosition(4)) == 0
@@ -108,6 +120,20 @@ class TestPhi:
 
     def test_suite(self):
         assert suite_phi(1000, 42) == []
+
+    def test_large_translation_in_constant_work(self):
+        start = time.process_time()
+        assert phi(full_shift(10 ** 9), 0) == 10 ** 9
+        f = EndPerm(-10 ** 9, {0: 1 - 10 ** 9, 1: -10 ** 9})
+        assert phi(f, 1) == phi(f, -5) == -10 ** 9
+        assert time.process_time() - start < 0.5
+
+    def test_agrees_with_counting_every_index(self):
+        rng = random.Random(4)
+        for _ in range(3000):
+            f = random_endperm(rng, max_d=12, max_support=8)
+            for c in range(-22, 23, 3):
+                assert phi(f, c) == _phi_by_counting(f, c)
 
 
 class TestShifts:
