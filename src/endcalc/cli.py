@@ -1,7 +1,13 @@
 """Command line interface: classify surfaces, run flux computations and suites.
 
 Exit codes: 0 success; 1 an --expect or corpus expectation mismatched;
-2 parse or validation failure; 3 a property suite found a violation.
+2 parse or validation failure, including a --window, --k or --n outside
+its limits; 3 a property suite found a violation.
+
+Limits: ``flux shift`` and ``flux swindle`` take a --window of 1 to
+100000 (MAX_WINDOW) and ``flux swindle`` a --k of 1 to 1000 (MAX_K);
+``flux check`` takes an --n of 1 to 2000 (MAX_TRIALS) and a --window of
+1 to 200 (MAX_CHECK_WINDOW).
 """
 
 from __future__ import annotations
@@ -30,6 +36,17 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
+# Upper limits of the flux commands' sizes.  At its limits flux swindle
+# takes well under a second of CPU, and so does flux shift on a spec of a
+# few short runs (its work also grows with the spec's size); flux check
+# takes about a second with the theta suite at MAX_TRIALS or the swindle
+# suite's 5166 checks at MAX_CHECK_WINDOW, so its default window of 200 is
+# also its largest.
+MAX_WINDOW = 100000
+MAX_K = 1000
+MAX_TRIALS = 2000
+MAX_CHECK_WINDOW = 200
+
 
 def _default_seed() -> int:
     try:
@@ -38,15 +55,21 @@ def _default_seed() -> int:
         return 42
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1 (a window or trial count)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _positive_int(limit: int):
+    """argparse type: an integer from 1 to ``limit`` (a window, k or count)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1, got %d"
+                                             % value)
+        if value > limit:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d"
+                                             % (limit, value))
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,20 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--spec", required=True,
                     help='e.g. "excluded=finite{0,5}" or '
                          '"excluded=periodic{N=1,p=3,r=0}"')
-    fs.add_argument("--window", type=_positive_int, default=200)
+    fs.add_argument("--window", type=_positive_int(MAX_WINDOW), default=200)
 
     fw = fsub.add_parser("swindle", help="verify the commutator identity")
     fw.add_argument("--perm", required=True)
-    fw.add_argument("--k", type=int, required=True)
-    fw.add_argument("--window", type=_positive_int, default=200)
+    fw.add_argument("--k", type=_positive_int(MAX_K), required=True)
+    fw.add_argument("--window", type=_positive_int(MAX_WINDOW), default=200)
 
     fc = fsub.add_parser("check", help="run a randomized property suite")
     fc.add_argument("--suite", required=True,
                     choices=["additivity", "theta", "normalize", "swindle"])
-    fc.add_argument("--n", type=_positive_int, default=1000,
+    fc.add_argument("--n", type=_positive_int(MAX_TRIALS), default=1000,
                     help="trial count")
     fc.add_argument("--seed", type=int, default=None)
-    fc.add_argument("--window", type=_positive_int, default=200)
+    fc.add_argument("--window", type=_positive_int(MAX_CHECK_WINDOW),
+                    default=200)
 
     k = sub.add_parser("corpus", help="classify every .surf file in a directory")
     k.add_argument("dir")

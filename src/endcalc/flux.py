@@ -7,6 +7,8 @@ override table.  The signed count of ends crossing a separating cut
 are described by :class:`ShiftSpec` and corrected to the full shift by
 :func:`normalizer`; :func:`swindle_check` verifies the commutator
 identity expressing a finitely bounded map in terms of the full shift.
+The repetition map behind it (:func:`repetition_map`) is evaluated
+iteratively, in one ascending pass, and requires a step k >= 1.
 
 Multi-ray models (:class:`MultiEndPerm`) cover mapping classes that
 permute same-type maximal ends; :func:`theta_tilde` computes the parity
@@ -234,7 +236,7 @@ class Normalizer:
 
     @classmethod
     def for_spec(cls, s: ShiftSpec, description: str) -> "Normalizer":
-        return cls(s.is_excluded, description)
+        return cls(s.excluded.contains, description)
 
     @classmethod
     def from_runs(cls, runs: Iterable[Tuple[int, int]]) -> "Normalizer":
@@ -285,8 +287,28 @@ def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 
 
 def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
-    """Check (T o eta)(i) == i + 1 for all |i| <= window."""
-    return all(t.apply(s.eta(i)) == i + 1 for i in range(-window, window + 1))
+    """Check (T o eta)(i) == i + 1 for all |i| <= window.
+
+    One pass over the window, with ``ShiftSpec.eta`` and
+    ``Normalizer.apply`` written out on the bound predicates.
+    """
+    skipped = s.excluded.contains
+    blocked = t._excluded
+    for i in range(-window, window + 1):
+        j = i
+        if not skipped(i):
+            j += 1
+            while skipped(j):
+                j += 1
+        if blocked(j):
+            j += 1
+        elif blocked(j - 1):
+            j -= 1
+            while blocked(j - 1):
+                j -= 1
+        if j != i + 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +321,30 @@ def repetition_map(f: EndPerm, k: int):
 
     Defined by h(x) = x below the first window and
     h(x) = f(h(x - 2k) + 2k) above it: each window [2kj-k, 2kj+k], j >= 0,
-    carries one conjugated copy of f.  Requires the copies' supports to be
-    disjoint, i.e. f must not move both -k and k; otherwise the infinite
-    product fails to be a bijection (the composition develops a deficient
-    orbit) and no correct window convention exists.
+    carries one conjugated copy of f.  Requires k >= 1 and the copies'
+    supports to be disjoint, i.e. f must not move both -k and k; otherwise
+    the infinite product fails to be a bijection (the composition develops
+    a deficient orbit) and no correct window convention exists.  h is
+    iterative: it fills its values in ascending order and keeps them, so
+    h(x) costs O(x + k) time and memory the first time and O(1) after.
     """
+    _check_repetition(f, k)
+    lo = -3 * k
+    values: List[int] = []
+
+    def h(x: int) -> int:
+        if x < -k:
+            return x
+        if x - lo >= len(values):
+            _repetition_pass(f, k, lo, x, values)
+        return values[x - lo]
+
+    return h
+
+
+def _check_repetition(f: EndPerm, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1, got %d" % k)
     if f.d != 0:
         raise ValueError("repetition map needs an eventual-translation-0 map")
     moved = f.moved()
@@ -313,16 +354,24 @@ def repetition_map(f: EndPerm, k: int):
         raise ValueError(
             "support touches both -%d and %d: adjacent window copies "
             "overlap; enlarge k" % (k, k))
-    cache: Dict[int, int] = {}
 
-    def h(x: int) -> int:
+
+def _repetition_pass(f: EndPerm, k: int, lo: int, hi: int,
+                     values: List[int]) -> List[int]:
+    """Extend ``values``, the repetition map on [lo, lo + len(values)), to hi.
+
+    The one place the recurrence h(x) = f(h(x - 2k) + 2k) is written;
+    lo <= -3k, so h(x - 2k) is already in ``values`` when h(x) is filled.
+    """
+    step = 2 * k
+    get = f.table.get  # f.d == 0
+    for x in range(lo + len(values), hi + 1):
         if x < -k:
-            return x
-        if x not in cache:
-            cache[x] = f(h(x - 2 * k) + 2 * k)
-        return cache[x]
-
-    return h
+            values.append(x)
+        else:
+            y = values[x - step - lo] + step
+            values.append(get(y, y))
+    return values
 
 
 def swindle_check(f: EndPerm, k: int, window: int = 200) -> bool:
@@ -331,12 +380,14 @@ def swindle_check(f: EndPerm, k: int, window: int = 200) -> bool:
     h is the repetition map of f with step 2k; the identity exhibits any
     finitely bounded map as a commutator with a power of the full shift.
     """
-    h = repetition_map(f, k)
+    _check_repetition(f, k)
+    step = 2 * k
     lo, hi = -window - 4 * k - 2, window + 4 * k + 2
-    inv = {h(x): x for x in range(lo, hi + 1)}
+    values = _repetition_pass(f, k, lo, hi, [])  # h on [lo, hi]
+    inv = {v: x for x, v in enumerate(values, lo)}
+    get = f.table.get
     for x in range(-window, window + 1):
-        pre = inv[x - 2 * k]
-        if h(pre + 2 * k) != f(x):
+        if values[inv[x - step] + step - lo] != get(x, x):
             return False
     return True
 
@@ -389,22 +440,26 @@ class MultiEndPerm:
                     raise ValueError("table entries must stay on the rays")
                 radius = max(radius, i + 1, j + 1)
         radius += max((abs(o) for o in self.offsets), default=0)
-        hits: Dict[RayEnd, int] = {}
+        hits = set()
         for r in range(self.n):
-            for i in range(radius + max(abs(self.offsets[r]), 0) + 1):
-                t, j = self.apply(r, i)
+            table, t0, o = self.tables[r], self.rho[r], self.offsets[r]
+            for i in range(radius + abs(o) + 1):
+                key = table.get(i) or (t0, i + o)
+                j = key[1]
                 if j < 0:
                     raise ValueError("ray %d index %d maps below the ray base"
                                      % (r, i))
                 if j <= radius:
-                    key = (t, j)
                     if key in hits:
                         raise ValueError("not injective at %s" % (key,))
-                    hits[key] = 1
-        for t in range(self.n):
-            for j in range(radius + 1):
-                if (t, j) not in hits:
-                    raise ValueError("not surjective at %s" % ((t, j),))
+                    hits.add(key)
+        # hits holds distinct (t, j) with t < n and 0 <= j <= radius, so
+        # only a short count leaves a gap to look for
+        if len(hits) < self.n * (radius + 1):
+            for t in range(self.n):
+                for j in range(radius + 1):
+                    if (t, j) not in hits:
+                        raise ValueError("not surjective at %s" % ((t, j),))
 
     def apply(self, r: int, i: int) -> RayEnd:
         hit = self.tables[r].get(i)
@@ -570,15 +625,19 @@ def theta_tilde(f: MultiEndPerm,
     conjugates shows no mod-2 flux character on the full multi-ray group
     can exist.
     """
+    n = f.n
     word = factor_permutation(_perm_inverse(f.rho), designated)
-    g = midentity(f.n)
+    # f o d[w0] o d[w1] o ...: only its rho and offsets are read
+    rho, offsets = f.rho, f.offsets
     for gi in word:
-        g = mcompose(g, designated[gi])
-    h = mcompose(f, g)
-    if not h.is_ray_preserving():
+        d = designated[gi]
+        if d.n != n:
+            raise ValueError("ray counts differ")
+        offsets = tuple(d.offsets[r] + offsets[d.rho[r]] for r in range(n))
+        rho = tuple(rho[d.rho[r]] for r in range(n))
+    if rho != tuple(range(n)):
         raise AssertionError("correction word failed to undo the permutation")
-    flux = sum(ray_flux(h, r) for r in range(1, f.n)) % 2
-    return (flux, perm_parity(f.rho))
+    return (sum(offsets[1:]) % 2, perm_parity(f.rho))
 
 
 def _perm_inverse(rho: Sequence[int]) -> Tuple[int, ...]:
@@ -663,14 +722,16 @@ def suite_phi(count: int, seed: int) -> List[str]:
         cuts = [rng.randint(-12, 12) for _ in range(10)]
         fg = compose(f, g)
         conj = compose(compose(g, f), invert(g))
+        f_inv = invert(f)
         for c in cuts:
-            if phi(fg, c) != phi(f, c) + phi(g, c):
+            phi_f = phi(f, c)
+            if phi(fg, c) != phi_f + phi(g, c):
                 errors.append("additivity failed at trial %d cut %d" % (trial, c))
-            if phi(invert(f), c) != -phi(f, c):
+            if phi(f_inv, c) != -phi_f:
                 errors.append("inverse flux failed at trial %d cut %d" % (trial, c))
-            if phi(conj, c) != phi(f, c):
+            if phi(conj, c) != phi_f:
                 errors.append("conjugation invariance failed at trial %d" % trial)
-            if phi(f, c) != f.d:
+            if phi_f != f.d:
                 errors.append("cut independence failed at trial %d cut %d"
                               % (trial, c))
         if errors:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,10 +12,15 @@ from endcalc.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_CHECK_WINDOW,
+    MAX_K,
+    MAX_TRIALS,
+    MAX_WINDOW,
     main,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -239,12 +247,46 @@ class TestFluxCommand:
         ["check", "--suite", "additivity", "--n", "-3"],
         ["check", "--suite", "additivity", "--n", "0"],
         ["check", "--suite", "additivity", "--n", "many"],
+        ["swindle", "--perm", "d=0", "--k", "0"],
+        ["swindle", "--perm", "d=0", "--k", "-2"],
+        ["shift", "--spec", "excluded=finite{0}",
+         "--window", str(MAX_WINDOW + 1)],
+        ["swindle", "--perm", "d=0", "--k", "1",
+         "--window", str(MAX_WINDOW + 1)],
+        ["swindle", "--perm", "d=0", "--k", str(MAX_K + 1)],
+        ["check", "--suite", "theta", "--n", str(MAX_TRIALS + 1)],
+        ["check", "--suite", "swindle",
+         "--window", str(MAX_CHECK_WINDOW + 1)],
     ])
     def test_vacuous_window_or_trial_count_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["flux", *argv])
         assert exc.value.code == EXIT_PARSE
-        assert "error: argument --" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["swindle", "--perm", "d=0", "--k", "100000000", "--window", "1"],
+        ["shift", "--spec", "excluded=finite{0}", "--window", "100000000"],
+    ], ids=["huge-k", "huge-window"])
+    def test_huge_values_exit_at_once(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "endcalc.cli", "flux", *argv],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_PARSE
+        assert "must be at most" in proc.stderr
+
+    def test_limits_are_accepted(self, capsys):
+        assert main(["flux", "swindle", "--perm", "d=0 table={0:1,1:0}",
+                     "--k", str(MAX_K), "--window", "1"]) == EXIT_OK
+        assert main(["flux", "shift", "--spec", "excluded=finite{0}",
+                     "--window", str(MAX_WINDOW)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("True\n") and out.endswith("normalizes: True\n")
 
     def test_check_reports_violations(self, capsys, monkeypatch):
         from endcalc import flux as flux_mod

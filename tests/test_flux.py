@@ -1,4 +1,7 @@
+import collections
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -28,6 +31,7 @@ from endcalc.flux import (
     random_endperm,
     random_multiendperm,
     random_shiftspec,
+    ray_flux,
     ray_local,
     ray_shift,
     ray_swap,
@@ -214,6 +218,14 @@ class TestSwindle:
             repetition_map(f, 1)
         assert swindle_check(f, 2, 100)
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_k_below_one_rejected(self, k):
+        for f in (IDENTITY, EndPerm(0, {0: 1, 1: 0})):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                repetition_map(f, k)
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                swindle_check(f, k, 10)
+
     def test_suite_exhaustive(self):
         assert suite_swindle(200) == []
 
@@ -324,3 +336,182 @@ class TestThetaTilde:
         assert perm_parity((1, 0, 2)) == 1
         assert perm_parity((1, 2, 0)) == 0
         assert perm_parity((0, 1, 2)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference forms: the plain loops that theta_tilde, verify_normalization,
+# the repetition map and MultiEndPerm._validate replaced, compared with them
+# ---------------------------------------------------------------------------
+
+
+def _theta_tilde_by_mcompose(f, designated):
+    word = factor_permutation(
+        tuple(f.rho.index(r) for r in range(f.n)), designated)
+    g = midentity(f.n)
+    for gi in word:
+        g = mcompose(g, designated[gi])
+    h = mcompose(f, g)
+    assert h.is_ray_preserving()
+    return (sum(ray_flux(h, r) for r in range(1, f.n)) % 2,
+            perm_parity(f.rho))
+
+
+def _verify_normalization_by_generator(s, t, window):
+    return all(t.apply(s.eta(i)) == i + 1 for i in range(-window, window + 1))
+
+
+def _repetition_map_recursive(f, k):
+    cache = {}
+
+    def h(x):
+        if x < -k:
+            return x
+        if x not in cache:
+            cache[x] = f(h(x - 2 * k) + 2 * k)
+        return cache[x]
+
+    return h
+
+
+def _swindle_check_recursive(f, k, window):
+    h = _repetition_map_recursive(f, k)
+    lo, hi = -window - 4 * k - 2, window + 4 * k + 2
+    inv = {h(x): x for x in range(lo, hi + 1)}
+    return all(h(inv[x - 2 * k] + 2 * k) == f(x)
+               for x in range(-window, window + 1))
+
+
+def _validate_by_loop(m):
+    if sorted(m.rho) != list(range(m.n)):
+        raise ValueError("rho is not a permutation of the rays")
+    if len(m.offsets) != m.n or len(m.tables) != m.n:
+        raise ValueError("per-ray data must cover every ray")
+    radius = 2
+    for r in range(m.n):
+        for i, (t, j) in m.tables[r].items():
+            if i < 0 or j < 0 or not (0 <= t < m.n):
+                raise ValueError("table entries must stay on the rays")
+            radius = max(radius, i + 1, j + 1)
+    radius += max((abs(o) for o in m.offsets), default=0)
+    hits = {}
+    for r in range(m.n):
+        for i in range(radius + max(abs(m.offsets[r]), 0) + 1):
+            t, j = m.apply(r, i)
+            if j < 0:
+                raise ValueError("ray %d index %d maps below the ray base"
+                                 % (r, i))
+            if j <= radius:
+                key = (t, j)
+                if key in hits:
+                    raise ValueError("not injective at %s" % (key,))
+                hits[key] = 1
+    for t in range(m.n):
+        for j in range(radius + 1):
+            if (t, j) not in hits:
+                raise ValueError("not surjective at %s" % ((t, j),))
+
+
+def _swindle_cases():
+    """Every (map, k) that suite_swindle and the flux benchmark check."""
+    for k in (1, 2, 3):
+        pts = list(range(-k, k + 1))
+        for img in itertools.permutations(pts):
+            table = {i: j for i, j in zip(pts, img) if i != j}
+            overlap = -k in table and k in table
+            yield EndPerm(0, table), k, overlap
+
+
+class TestAgainstReference:
+    def test_theta_tilde(self):
+        rng = random.Random(11)
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            base = [ray_swap(n, i, i + 1) for i in range(n - 1)]
+            extra = [ray_swap(n, *rng.sample(range(n), 2))
+                     for _ in range(rng.randint(1, 3))]
+            f = random_multiendperm(rng, n)
+            for designated in (base, base + extra, extra + base):
+                assert (theta_tilde(f, designated)
+                        == _theta_tilde_by_mcompose(f, designated))
+
+    def test_theta_tilde_rejects_mixed_ray_counts(self):
+        with pytest.raises(ValueError, match="ray counts differ"):
+            theta_tilde(ray_swap(2, 0, 1), [ray_swap(3, 0, 1)])
+
+    def test_swindle_and_repetition_map(self):
+        cases = list(_swindle_cases())
+        assert len(cases) == 5166
+        for f, k, overlap in cases:
+            if overlap:
+                with pytest.raises(ValueError):
+                    repetition_map(f, k)
+                k += 1
+            h, ref = repetition_map(f, k), _repetition_map_recursive(f, k)
+            span = range(-5 * k, 5 * k + 1)
+            assert [h(x) for x in span] == [ref(x) for x in span]
+            for window in (1, 7, 200):
+                assert swindle_check(f, k, window) \
+                    == _swindle_check_recursive(f, k, window)
+
+    def test_repetition_map_far_from_the_base(self):
+        f = EndPerm(0, {0: 1, 1: 0})
+        ref = _repetition_map_recursive(f, 1)
+        expected = [ref(x) for x in range(-3, 5001)]  # ascending: shallow
+        assert repetition_map(f, 1)(5000) == expected[-1]
+        h = repetition_map(f, 1)
+        assert [h(x) for x in range(5000, -4, -1)] == expected[::-1]
+
+    def test_verify_normalization(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(400):
+            s = random_shiftspec(rng)
+            if classify_shift(s) is ShiftKind.FULL:
+                continue
+            starts = rng.sample(range(-22, 22), rng.randint(1, 4))
+            wrong = Normalizer.from_runs(
+                (a, a + rng.randint(0, 2)) for a in starts)
+            for t in (normalizer(s), wrong):
+                window = rng.choice((1, 9, 60))
+                got = verify_normalization(s, t, window)
+                assert got == _verify_normalization_by_generator(s, t, window)
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_validate_messages(self):
+        rng = random.Random(13)
+        kinds = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(2, 4)
+            if rng.random() < 0.5:
+                base = random_multiendperm(rng, n)
+                rho, offsets = base.rho, base.offsets
+                tables = [dict(t) for t in base.tables]
+            else:
+                rho = tuple(rng.sample(range(n), n))
+                offsets = tuple(rng.randint(-2, 2) for _ in range(n))
+                tables = [{} for _ in range(n)]
+            for _ in range(rng.randint(0, 3)):
+                tables[rng.randrange(n)][rng.randint(-1, 5)] = (
+                    rng.randint(-1, n), rng.randint(-1, 7))
+            if rng.random() < 0.05:
+                rho = rho[:-1] + rho[:1]
+            if rng.random() < 0.05:
+                offsets = offsets[:-1]
+            m = MultiEndPerm.__new__(MultiEndPerm)  # not validated yet
+            m.n, m.rho, m.offsets, m.tables = n, rho, offsets, tuple(tables)
+            outcome = []
+            for check in (m._validate, lambda: _validate_by_loop(m)):
+                try:
+                    check()
+                    outcome.append("valid")
+                except ValueError as e:
+                    outcome.append(str(e))
+            assert outcome[0] == outcome[1]
+            kinds[re.sub(r"-?\d+", "N", outcome[0])] += 1
+        assert set(kinds) == {
+            "valid", "rho is not a permutation of the rays",
+            "per-ray data must cover every ray",
+            "table entries must stay on the rays",
+            "ray N index N maps below the ray base",
+            "not injective at (N, N)", "not surjective at (N, N)"}, kinds
