@@ -112,8 +112,7 @@ def self_similarity(s: SurfaceSpec) -> SelfSimilarity:
     Cantor class, NOT otherwise; unabsorbed extras always break
     self-similarity (a partition can isolate them)."""
     s = require_valid(s)
-    if (len(s.roots) != 1 or s.subordinates or s.extra_punctures
-            or s.extra_genus):
+    if len(s.roots) != 1 or s.extra_punctures or s.extra_genus:
         return SelfSimilarity.NOT
     (_, m), = s.roots
     if m is CANTOR:
@@ -305,15 +304,14 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "normally generated by a strong dilatation",))
     cantor_roots = [t for t, m in s.roots if m is CANTOR]
     finite_roots = [(t, m) for t, m in s.roots if m is not CANTOR]
-    if (len(s.roots) == 1 and cantor_roots and s.extra_punctures == 1
-            and not s.subordinates):
+    if len(s.roots) == 1 and cantor_roots and s.extra_punctures == 1:
         return TNGVerdict(
             Verdict.YES, RULE_INVOLUTION,
             notes=("a Cantor class with one puncture is normally generated "
                    "by a single involution",))
     if (len(s.roots) == 2 and len(cantor_roots) == 1
             and len(finite_roots) == 1 and finite_roots[0][1] == 1
-            and s.extra_punctures == 0 and not s.subordinates
+            and s.extra_punctures == 0
             and len(immediate_predecessors(finite_roots[0][0])) <= 1):
         return TNGVerdict(
             Verdict.YES, RULE_CANTOR_PLUS_END,
@@ -325,8 +323,7 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                 return TNGVerdict(Verdict.NO, RULE_DOUBLE_FLUX,
                                   witness=_double_flux_witness(s, u, p))
     notes = ["no decision rule applies"]
-    if (len(s.roots) == 1 and cantor_roots and s.extra_punctures >= 2
-            and not s.subordinates):
+    if len(s.roots) == 1 and cantor_roots and s.extra_punctures >= 2:
         notes.append("whether a Cantor class with two or more punctures is "
                      "topologically normally generated is an open question")
     return TNGVerdict(Verdict.UNKNOWN, RULE_UNKNOWN, notes=tuple(notes))

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import flux
 from .classify import classify
 from .dsl import (
     ParseError,
@@ -37,8 +36,7 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
 # Upper limits of the flux commands' sizes.  At its limits flux swindle
-# takes well under a second of CPU, and so does flux shift on a spec of a
-# few short runs (its work also grows with the spec's size); flux check
+# takes well under a second of CPU, and so does flux shift; flux check
 # takes about a second with the theta suite at MAX_TRIALS or the swindle
 # suite's 5166 checks at MAX_CHECK_WINDOW, so its default window of 200 is
 # also its largest.
@@ -49,10 +47,7 @@ MAX_CHECK_WINDOW = 200
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("ENDCALC_SEED", "42"))
-    except ValueError:
-        return 42
+    return int(os.environ.get("ENDCALC_SEED", "42"))
 
 
 def _positive_int(limit: int):
@@ -163,6 +158,8 @@ def cmd_classify(args) -> int:
 
 
 def _run_suite(args) -> int:
+    from . import flux
+
     seed = args.seed if args.seed is not None else _default_seed()
     n = args.n
     if args.suite == "additivity":
@@ -173,6 +170,7 @@ def _run_suite(args) -> int:
         errors = flux.suite_normalize(n, seed, window=args.window)
     else:
         errors = flux.suite_swindle(window=args.window)
+        n = flux.SWINDLE_PERMUTATIONS
     print("suite=%s trials=%d seed=%d" % (args.suite, n, seed))
     if errors:
         for e in errors:
@@ -183,6 +181,8 @@ def _run_suite(args) -> int:
 
 
 def cmd_flux(args) -> int:
+    from . import flux  # only the flux commands need it
+
     try:
         if args.flux_command == "phi":
             perm = parse_perm_literal(args.perm)

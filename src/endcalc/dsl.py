@@ -49,7 +49,6 @@ from .classify import (
     ClassificationReport,
     NOT_APPLICABLE,
     ObstructionWitness,
-    Verdict,
     require_valid,
 )
 from .endspace import (

@@ -204,10 +204,6 @@ def equivalent(x: EndType, y: EndType) -> bool:
     return canonicalize(x) == canonicalize(y)
 
 
-def strictly_below(y: EndType, x: EndType) -> bool:
-    return preceq(y, x) and not equivalent(y, x)
-
-
 @functools.lru_cache(maxsize=None)
 def immediate_predecessors(x: EndType) -> FrozenSet[Union[EndType, _Marker]]:
     """Maximal types strictly below x, plus HANDLE when genus is direct.
@@ -346,8 +342,9 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         accumulated by genus.
 
     Diagnostics (fatal) are returned instead of raised so the validator can
-    report all of them at once.  Output without diagnostics is marked
-    ``validated``.
+    report all of them at once.  Every subordinate that is not absorbed
+    is diagnosed, so output without diagnostics has no subordinates; it
+    is marked ``validated``.
     """
     diags: list = []
 
@@ -455,7 +452,6 @@ class InvariantBundle:
     C: int
     M_iso: int
     G0: FrozenSet[EndType]
-    maximal_classes: Tuple[Tuple[EndType, Multiplicity], ...]
 
 
 def admissible_pairs(s: SurfaceSpec):
@@ -476,5 +472,4 @@ def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
     m_iso = sum(1 for t, m in s.roots
                 if m is not CANTOR and not t.is_puncture())
     g0 = frozenset(t for t in types if t.direct_genus)
-    return InvariantBundle(M=len(types), C=c, M_iso=m_iso, G0=g0,
-                           maximal_classes=s.roots)
+    return InvariantBundle(M=len(types), C=c, M_iso=m_iso, G0=g0)

@@ -22,54 +22,35 @@ orientation negates the flux.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-
-@dataclass(frozen=True)
-class CutPosition:
-    """A cut between end indices: left side {i < c}, right side {i >= c}."""
-
-    c: int = 0
-
-
-def _cut_value(cut: Union[int, CutPosition]) -> int:
-    return cut.c if isinstance(cut, CutPosition) else int(cut)
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class EndPerm:
     """Bijection of Z that is eventually translation by d.
 
     ``table`` overrides the default i -> i + d on finitely many indices;
-    the override domain must lie in [-R, R] and the whole map must be a
-    bijection, which holds exactly when the table image equals the
-    shifted table domain as a set.
+    the whole map must be a bijection, which holds exactly when the table
+    image equals the shifted table domain as a set.
     """
 
-    __slots__ = ("d", "table", "R")
+    __slots__ = ("d", "table")
 
     def __init__(self, d: int = 0,
-                 table: Optional[Mapping[int, int]] = None,
-                 R: Optional[int] = None):
+                 table: Optional[Mapping[int, int]] = None):
         self.d = int(d)
-        tbl = {int(i): int(j) for i, j in (table or {}).items()
-               if int(j) != int(i) + self.d}
-        self.table = tbl
-        self.R = int(R) if R is not None else max((abs(i) for i in tbl), default=0)
+        self.table = {int(i): int(j) for i, j in (table or {}).items()
+                      if int(j) != int(i) + self.d}
         self._validate()
 
     def _validate(self) -> None:
-        dom = set(self.table)
-        if any(abs(i) > self.R for i in dom):
-            raise ValueError("table domain exceeds window radius %d" % self.R)
         img = set(self.table.values())
-        if len(img) != len(dom) or img != {i + self.d for i in dom}:
+        if (len(img) != len(self.table)
+                or img != {i + self.d for i in self.table}):
             raise ValueError("override table does not induce a bijection of Z")
-        bound = self.R + abs(self.d)
-        if any(abs(j) > bound for j in img):
-            raise ValueError("table values exceed [-R-|d|, R+|d|]")
 
     def __call__(self, i: int) -> int:
         return self.table.get(i, i + self.d)
@@ -120,9 +101,8 @@ def invert(f: EndPerm) -> EndPerm:
     return EndPerm(-f.d, {v: k for k, v in f.table.items()})
 
 
-def phi(f: EndPerm, cut: Union[int, CutPosition] = 0) -> int:
-    """Signed crossing count at the cut: |left -> right| - |right -> left|."""
-    c = _cut_value(cut)
+def phi(f: EndPerm, c: int = 0) -> int:
+    """Signed crossing count at cut c: |left -> right| - |right -> left|."""
     left_right = 0
     right_left = 0
     overridden = 0  # table keys among the |d| indices translated across c
@@ -156,12 +136,15 @@ class FiniteExcluded:
     """Finitely many indices skipped by the shift."""
 
     values: Tuple[int, ...] = ()
+    _members: FrozenSet[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted(set(self.values))))
+        members = frozenset(self.values)
+        object.__setattr__(self, "values", tuple(sorted(members)))
+        object.__setattr__(self, "_members", members)
 
     def contains(self, k: int) -> bool:
-        return k in self.values
+        return k in self._members
 
 
 @dataclass(frozen=True)
@@ -199,15 +182,12 @@ class ShiftSpec:
 
     excluded: Excluded = FiniteExcluded()
 
-    def is_excluded(self, k: int) -> bool:
-        return self.excluded.contains(k)
-
     def eta(self, i: int) -> int:
         """The shift evaluated on index i: skipped indices stay fixed."""
-        if self.is_excluded(i):
+        if self.excluded.contains(i):
             return i
         j = i + 1
-        while self.is_excluded(j):
+        while self.excluded.contains(j):
             j += 1
         return j
 
@@ -233,19 +213,6 @@ class Normalizer:
     def __init__(self, excluded_pred, description: str):
         self._excluded = excluded_pred
         self.description = description
-
-    @classmethod
-    def for_spec(cls, s: ShiftSpec, description: str) -> "Normalizer":
-        return cls(s.excluded.contains, description)
-
-    @classmethod
-    def from_runs(cls, runs: Iterable[Tuple[int, int]]) -> "Normalizer":
-        runs = tuple((int(a), int(b)) for a, b in runs)
-        members = set()
-        for a, b in runs:
-            members.update(range(a, b + 1))
-        return cls(members.__contains__,
-                   "blocks at runs %s" % (runs,))
 
     def apply(self, j: int) -> int:
         if self._excluded(j):
@@ -273,7 +240,7 @@ def normalizer(s: ShiftSpec) -> Normalizer:
         exc = s.excluded
         desc = ("periodic half-twist blocks on k >= %d, k mod %d in %s"
                 % (exc.threshold, exc.period, list(exc.residues)))
-    return Normalizer.for_spec(s, desc)
+    return Normalizer(s.excluded.contains, desc)
 
 
 def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
@@ -485,10 +452,6 @@ class MultiEndPerm:
                    [dict(sorted(t.items())) for t in self.tables]))
 
 
-def midentity(n: int) -> MultiEndPerm:
-    return MultiEndPerm(n)
-
-
 def ray_swap(n: int, a: int, b: int) -> MultiEndPerm:
     """Wholesale exchange of two rays (the designated half-twist model)."""
     rho = list(range(n))
@@ -548,18 +511,6 @@ def minvert(f: MultiEndPerm) -> MultiEndPerm:
         for i, (t, j) in f.tables[r].items():
             tables[t][j] = (r, i)
     return MultiEndPerm(n, rho=rho_inv, offsets=offsets, tables=tables)
-
-
-def ray_flux(f: MultiEndPerm, r: int) -> int:
-    """Net flow into ray r's tail across a deep cut, for ray-preserving maps.
-
-    Beyond the override tables the map translates ray r by its offset, so
-    the crossing count at any sufficiently deep cut equals that offset;
-    compactly supported rearrangements have flux zero on every ray.
-    """
-    if not f.is_ray_preserving():
-        raise ValueError("ray flux needs a ray-preserving map")
-    return f.offsets[r]
 
 
 def perm_parity(rho: Sequence[int]) -> int:
@@ -691,7 +642,7 @@ def random_multiendperm(rng: random.Random, n: int,
         pool = tuple(range(n))
     else:
         pool = rays
-    m = midentity(n)
+    m = MultiEndPerm(n)
     for _ in range(rng.randint(1, 5)):
         kind = rng.randrange(3)
         if kind == 0 and len(pool) >= 2:
@@ -751,6 +702,12 @@ def suite_normalize(count: int, seed: int, window: int = 200) -> List[str]:
     return errors
 
 
+#: The steps k of :func:`suite_swindle`, which checks every permutation of
+#: [-k, k] at each: SWINDLE_PERMUTATIONS of them in all.
+SWINDLE_STEPS = (1, 2, 3)
+SWINDLE_PERMUTATIONS = sum(math.factorial(2 * k + 1) for k in SWINDLE_STEPS)
+
+
 def suite_swindle(window: int = 200) -> List[str]:
     """Exhaustive commutator identity over small finitely bounded maps.
 
@@ -760,7 +717,7 @@ def suite_swindle(window: int = 200) -> List[str]:
     construction is undefined) are checked at k + 1 instead.
     """
     errors: List[str] = []
-    for k in (1, 2, 3):
+    for k in SWINDLE_STEPS:
         pts = list(range(-k, k + 1))
         for img in itertools.permutations(pts):
             table = {i: j for i, j in zip(pts, img) if i != j}

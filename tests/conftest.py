@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -15,9 +16,10 @@ from endcalc.endspace import (
     SurfaceSpec,
     canonicalize,
     canonicalize_spec,
-    format_type,
     node,
+    preceq,
 )
+from endcalc.oracle import enumerate_trees, oracle_preceq
 from endcalc import flux
 
 settings.register_profile(
@@ -116,7 +118,7 @@ class WitnessModel:
 
     def identity(self):
         if self.mode == "multiray":
-            return flux.midentity(self.rays)
+            return flux.MultiEndPerm(self.rays)
         parts = []
         for c in self.witness.characters:
             if c.kind == "FLUX":
@@ -270,6 +272,24 @@ def check_witness_on_models(witness: ObstructionWitness, spec: SurfaceSpec,
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture(scope="session")
+def small_tree_sweep() -> Tuple[list, list]:
+    """preceq against the oracle on every pair of raw trees with at most 4
+    nodes (so depth <= 3 via chains and branching <= 3 via stars), all flag
+    combinations at every node: (universe, disagreeing pairs).
+
+    The sweep is the slowest differential check, so the tests that need it
+    share one run.
+    """
+    universe = enumerate_trees(max_nodes=4, max_children=3, max_depth=3)
+    disagreements = [
+        (y, x)
+        for y, x in itertools.product(universe, repeat=2)
+        if preceq(y, x) != oracle_preceq(y, x)
+    ]
+    return universe, disagreements
 
 
 ACCEPTANCE_RESULTS: List[str] = []

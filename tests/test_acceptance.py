@@ -5,7 +5,6 @@ comparisons are exact; nothing here is tolerance-calibrated.
 """
 
 import functools
-import itertools
 import json
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import pytest
 
 from endcalc.classify import Verdict, classify
 from endcalc.dsl import ParseError, parse, report_to_dict
-from endcalc.endspace import preceq
 from endcalc.flux import (
     MultiEndPerm,
     full_shift,
@@ -25,7 +23,6 @@ from endcalc.flux import (
     suite_theta,
     theta_tilde,
 )
-from endcalc.oracle import enumerate_trees, oracle_preceq
 from conftest import check_witness_on_models, record_acceptance
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -110,12 +107,9 @@ def test_corpus_verdicts():
 
 
 @criterion(2, "oracle agrees with preceq on all small trees")
-def test_oracle_equivalence_exhaustive():
-    universe = enumerate_trees(max_nodes=4, max_children=3, max_depth=3)
-    disagreements = sum(
-        1 for y, x in itertools.product(universe, repeat=2)
-        if preceq(y, x) != oracle_preceq(y, x))
-    assert disagreements == 0
+def test_oracle_equivalence_exhaustive(small_tree_sweep):
+    _, disagreements = small_tree_sweep
+    assert disagreements == []
 
 
 @criterion(3, "flux suite: additivity, inverse, conjugation, cut independence")

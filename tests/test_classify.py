@@ -375,11 +375,22 @@ class TestTrustContract:
         assert emit_report(classify(copy)) == emit_report(classify(parsed))
 
 
-def test_import_does_not_load_the_oracle():
-    # the brute-force oracle is test-only machinery
-    code = "import sys, endcalc; print('endcalc.oracle' in sys.modules)"
+def _loaded_after(statement, module):
+    """What a fresh interpreter prints for ``module in sys.modules`` after
+    running ``statement``."""
+    code = "import sys; %s; print(%r in sys.modules)" % (statement, module)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60,
                          env=dict(os.environ,
                                   PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_import_does_not_load_the_oracle():
+    # the brute-force oracle is test-only machinery
+    assert _loaded_after("import endcalc", "endcalc.oracle") == "False\n"
+
+
+def test_cli_import_does_not_load_flux():
+    # only the flux commands need the permutation models
+    assert _loaded_after("import endcalc.cli", "endcalc.flux") == "False\n"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -239,6 +240,31 @@ class TestFluxCommand:
         assert main(["flux", "check", "--suite", "additivity",
                      "--n", "50"]) == EXIT_OK
         assert "seed=99" in capsys.readouterr().out
+
+    def test_seed_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENDCALC_SEED", "abc")
+        assert main(["flux", "check", "--suite", "additivity",
+                     "--n", "3"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'abc'" in err
+
+    def test_swindle_suite_reports_its_permutations(self, capsys):
+        # the swindle suite ignores --n: it checks every permutation of
+        # [-k, k] for k = 1, 2, 3, which is 3! + 5! + 7! of them
+        assert main(["flux", "check", "--suite", "swindle", "--n", "5",
+                     "--seed", "7", "--window", "3"]) == EXIT_OK
+        assert capsys.readouterr().out \
+            == "suite=swindle trials=5166 seed=7\nok\n"
+
+    def test_shift_work_does_not_grow_with_the_spec(self, capsys):
+        spec = "excluded=finite{%s}" % ",".join(map(str, range(1000)))
+        start = time.process_time()
+        assert main(["flux", "shift", "--spec", spec,
+                     "--window", str(MAX_WINDOW)]) == EXIT_OK
+        assert time.process_time() - start < 3.0
+        assert capsys.readouterr().out.endswith("normalizes: True\n")
 
     @pytest.mark.parametrize("argv", [
         ["shift", "--spec", "excluded=finite{0}", "--window", "0"],

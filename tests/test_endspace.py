@@ -278,6 +278,24 @@ class TestSurfaceSpec:
         _, diags = canonicalize_spec(raw)
         assert any("subordinate not below any root" in d for d in diags)
 
+    def test_validated_output_has_no_subordinates(self):
+        # classify never looks at subordinates: it relies on this
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(3000):
+            roots = tuple((random_tree(rng, rng.randint(0, 3)),
+                           rng.choice((1, 2, CANTOR)))
+                          for _ in range(rng.randint(1, 3)))
+            subs = tuple((random_tree(rng, rng.randint(0, 3)),
+                          rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3)))
+            s, diags = canonicalize_spec(
+                SurfaceSpec(roots=roots, subordinates=subs))
+            if not diags:
+                assert s.subordinates == () and s.validated
+            outcomes.add(bool(diags))
+        assert outcomes == {True, False}
+
     def test_extra_genus_absorbed_by_genus_end(self):
         s, _ = canonicalize_spec(SurfaceSpec(roots=((LOCH_NESS, 1),),
                                              extra_genus=5))
@@ -340,7 +358,7 @@ class TestInvariantBundle:
         b = invariant_bundle(s)
         assert (b.M, b.C, b.M_iso) == (3, 1, 3)
         assert b.G0 == frozenset({canonicalize(bb), LOCH_NESS})
-        assert b.M == len(b.maximal_classes)
+        assert b.M == len(s.roots)
         assert b.M_iso <= b.M
         assert all(t.direct_genus for t in b.G0)
 

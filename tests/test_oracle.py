@@ -1,7 +1,5 @@
 """Differential tests: the production preorder against the search oracle."""
 
-import itertools
-
 import pytest
 
 from endcalc.endspace import (
@@ -15,7 +13,6 @@ from endcalc.endspace import (
 )
 from endcalc.oracle import (
     OracleScaleError,
-    enumerate_trees,
     oracle_equivalent,
     oracle_preceq,
 )
@@ -55,16 +52,9 @@ class TestOracleExamples:
 
 
 class TestOracleAgreement:
-    def test_exhaustive_small_trees(self):
-        # every raw tree with at most 4 nodes (so depth <= 3 via chains and
-        # branching <= 3 via stars), all flag combinations at every node
-        universe = enumerate_trees(max_nodes=4, max_children=3, max_depth=3)
+    def test_exhaustive_small_trees(self, small_tree_sweep):
+        universe, disagreements = small_tree_sweep
         assert len(universe) > 500
-        disagreements = [
-            (y, x)
-            for y, x in itertools.product(universe, repeat=2)
-            if preceq(y, x) != oracle_preceq(y, x)
-        ]
         assert disagreements == []
 
     def test_random_depth3_trees(self, rng):
