@@ -16,8 +16,6 @@ from .classify import (
     TNGVerdict,
     ValidationResult,
     Verdict,
-    classify,
-    fmap_flux_rank,
     generator_bounds,
     self_similarity,
     tng_verdict,
@@ -50,9 +48,9 @@ __all__ = [
     "BoundsReport", "CANTOR", "Character", "ClassificationReport", "EndType",
     "GeneratorImage", "HANDLE", "InvariantBundle", "ObstructionWitness",
     "ParseError", "SelfSimilarity", "SpecError", "SurfaceSpec", "TNGVerdict",
-    "ValidationResult", "Verdict", "below", "canonicalize", "classify",
-    "e_cp", "emit_report", "equivalent", "fmap_flux_rank", "format_type",
-    "generator_bounds", "immediate_predecessors", "in_EG", "invariant_bundle",
-    "node", "parse", "planar_tower", "preceq", "report_to_dict",
-    "self_similarity", "spec_to_text", "tng_verdict", "validate",
+    "ValidationResult", "Verdict", "below", "canonicalize", "e_cp",
+    "emit_report", "equivalent", "format_type", "generator_bounds",
+    "immediate_predecessors", "in_EG", "invariant_bundle", "node", "parse",
+    "planar_tower", "preceq", "report_to_dict", "self_similarity",
+    "spec_to_text", "tng_verdict", "validate",
 ]

@@ -101,10 +101,10 @@ def require_valid(s: SurfaceSpec) -> SurfaceSpec:
     unchanged."""
     if s.validated:
         return s
-    res = validate(s)
-    if not res.ok:
-        raise SpecError(res.diagnostics)
-    return res.canonical
+    canonical, diags = canonicalize_spec(s)
+    if diags:
+        raise SpecError(diags)
+    return canonical
 
 
 def self_similarity(s: SurfaceSpec) -> SelfSimilarity:
@@ -351,63 +351,46 @@ class BoundsReport:
     handle_pair_generators: int
     budget: Budget
     abelianization_upper: Optional[int]
-    notes: Tuple[str, ...] = ()
+    invariants: InvariantBundle
 
 
-def fmap_flux_rank(s: SurfaceSpec) -> int:
-    """Certified free rank of the shift-flux quotient, countable case.
+def generator_bounds(s: SurfaceSpec) -> BoundsReport:
+    """Generator bounds and budget from the invariant bundle, with the
+    flux accounting of the countable case.
 
-    Each immediate-predecessor type admitted by N maximal ends (counted
+    ``flux_rank`` is the certified free rank of the shift-flux quotient:
+    each immediate-predecessor type admitted by N maximal ends (counted
     with multiplicity) contributes N - 1 independent fluxes; handle
     shifts are budgeted separately and contribute nothing here.
+    ``handle_pair_generators`` counts the unordered pairs of genus-direct
+    maximal ends, with multiplicity.  For uncountable specs flux
+    accounting does not apply: the rank is None and the pair count zero.
     """
     s = require_valid(s)
-    if not s.is_countable():
-        raise ValueError("uncountable spec")
-    admits: dict = {}
-    for t, m in s.roots:
-        for z in immediate_predecessors(t):
-            if z is HANDLE:
-                continue
-            admits[z] = admits.get(z, 0) + m
-    return sum(n - 1 for n in admits.values())
-
-
-def handle_pair_generators(s: SurfaceSpec) -> int:
-    """Unordered pairs of genus-direct maximal ends, counted with
-    multiplicity; zero for uncountable specs (flux accounting does not
-    apply there)."""
-    s = require_valid(s)
-    if not s.is_countable():
-        return 0
-    ends = sum(m for t, m in s.roots if t.direct_genus)
-    return math.comb(ends, 2)
-
-
-def generator_bounds(s: SurfaceSpec,
-                     verdict: Optional[TNGVerdict] = None) -> BoundsReport:
-    s = require_valid(s)
     b = invariant_bundle(s)
-    if verdict is None:
-        verdict = tng_verdict(s)
     lower = max(1, b.M_iso - 1)
     upper = max(1, b.M * (b.M + b.C - 1))
     budget = Budget(shifts=b.C * b.M,
                     dehn=max(0, b.M * (b.M - 2)),
                     handles=b.M)
-    countable = s.is_countable()
-    flux_rank = fmap_flux_rank(s) if countable else None
+    flux_rank = None
+    handle_pairs = 0
+    if s.is_countable():
+        admits: dict = {}
+        for t, m in s.roots:
+            for z in immediate_predecessors(t):
+                if z is not HANDLE:
+                    admits[z] = admits.get(z, 0) + m
+        flux_rank = sum(n - 1 for n in admits.values())
+        handle_pairs = math.comb(sum(m for t, m in s.roots if t.direct_genus),
+                                 2)
     ab_upper = None
     if all(m is CANTOR for _, m in s.roots) and s.extra_genus == 0:
         ab_upper = upper
-    notes: List[str] = []
-    if verdict.verdict is Verdict.NO:
-        notes.append("verdict is NO: the bound formulas are reported for "
-                     "information only")
     return BoundsReport(lower=lower, upper=upper, flux_rank=flux_rank,
-                        handle_pair_generators=handle_pair_generators(s),
+                        handle_pair_generators=handle_pairs,
                         budget=budget, abelianization_upper=ab_upper,
-                        notes=tuple(notes))
+                        invariants=b)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +403,6 @@ class ClassificationReport:
     spec: SurfaceSpec
     countable: bool
     self_similar: SelfSimilarity
-    invariants: InvariantBundle
     verdict: TNGVerdict
     bounds: BoundsReport
     notes: Tuple[str, ...] = ()
@@ -432,13 +414,15 @@ def classify(s: SurfaceSpec) -> ClassificationReport:
         raise SpecError(res.diagnostics)
     spec = res.canonical
     verdict = tng_verdict(spec)
-    bounds = generator_bounds(spec, verdict)
+    notes = res.notes + verdict.notes
+    if verdict.verdict is Verdict.NO:
+        notes += ("verdict is NO: the bound formulas are reported for "
+                  "information only",)
     return ClassificationReport(
         spec=spec,
         countable=spec.is_countable(),
         self_similar=self_similarity(spec),
-        invariants=invariant_bundle(spec),
         verdict=verdict,
-        bounds=bounds,
-        notes=res.notes + verdict.notes + bounds.notes,
+        bounds=generator_bounds(spec),
+        notes=notes,
     )

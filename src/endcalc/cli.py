@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 an --expect or corpus expectation mismatched;
 2 parse or validation failure, including a --window, --k or --n outside
-its limits; 3 a property suite found a violation.
+its limits, a corpus dir that is not a directory, and an --expectations
+file that is not a JSON object of objects; 3 a property suite found a
+violation.
 
 Limits: ``flux shift`` and ``flux swindle`` take a --window of 1 to
 100000 (MAX_WINDOW) and ``flux swindle`` a --k of 1 to 1000 (MAX_K);
@@ -227,13 +229,22 @@ def _lookup(report: dict, key: str):
 
 def cmd_corpus(args) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():
+        print("error: %s is not a directory" % directory, file=sys.stderr)
+        return EXIT_PARSE
     files = sorted(directory.glob("*.surf"))
     expectations = {}
     if args.expectations:
         try:
             expectations = json.loads(Path(args.expectations).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:
             print("error reading expectations: %s" % e, file=sys.stderr)
+            return EXIT_PARSE
+        if not (isinstance(expectations, dict) and all(
+                isinstance(v, dict) for v in expectations.values())):
+            print("error: expectations %s is not a JSON object of objects"
+                  % args.expectations, file=sys.stderr)
             return EXIT_PARSE
 
     rows: List[List[str]] = []

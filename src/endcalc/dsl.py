@@ -362,7 +362,7 @@ def spec_to_text(s: SurfaceSpec) -> str:
 
 
 def report_to_dict(r: ClassificationReport, include_witness: bool = True):
-    b = r.invariants
+    b = r.bounds.invariants
     w = r.verdict.witness
     witness = None
     if w is not None and include_witness:
@@ -417,7 +417,7 @@ def emit_report(r: ClassificationReport, fmt: str = "TEXT",
     if fmt.upper() != "TEXT":
         raise ValueError("unknown report format %r" % fmt)
 
-    b = r.invariants
+    b = r.bounds.invariants
     lines = ["surface:"]
     lines.extend("  " + ln for ln in spec_to_text(r.spec).strip().split("\n"))
     lines.append("countable: %s" % ("yes" if r.countable else "no"))

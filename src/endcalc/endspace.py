@@ -301,15 +301,19 @@ class SurfaceSpec:
         raise KeyError(f"not a root type: {format_type(t)}")
 
     def is_countable(self) -> bool:
-        """No Cantor classes anywhere in the end space."""
+        """No Cantor classes anywhere in the end space: no CANTOR root, and
+        no self-accumulating type in the :func:`below` set of a root or
+        subordinate (a self-accumulating type is in its own set)."""
         if any(m is CANTOR for _, m in self.roots):
             return False
-        closure = type_closure(self)
-        return not any(t.self_accumulating for t in closure)
+        return not any(u.self_accumulating
+                       for t, _ in self.roots + self.subordinates
+                       for u in below(canonicalize(t)))
 
 
 def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
-    """All canonical types mentioned in roots and subordinates, transitively."""
+    """All canonical types mentioned in roots and subordinates, transitively
+    (a plain walk: the tests' reference for ``SurfaceSpec.is_countable``)."""
     seen: set = set()
 
     def walk(t: EndType) -> None:

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import os
 import pickle
 import random
@@ -8,6 +7,8 @@ import sys
 
 import pytest
 
+import endcalc.classify as cl
+import endcalc.endspace as endspace
 from endcalc.classify import (
     RULE_CANTOR_PLUS_END,
     RULE_DOUBLE_FLUX,
@@ -21,9 +22,7 @@ from endcalc.classify import (
     SelfSimilarity,
     Verdict,
     classify,
-    fmap_flux_rank,
     generator_bounds,
-    handle_pair_generators,
     self_similarity,
     tng_verdict,
     validate,
@@ -39,9 +38,10 @@ from endcalc.endspace import (
     flute,
     node,
     planar_tower,
+    type_closure,
 )
 from endcalc.dsl import emit_report, parse
-from conftest import check_witness_on_models, random_spec
+from conftest import check_witness_on_models, random_spec, random_tree
 
 FLUTE = flute()
 BLOOM = node(genus=True, cantor=True)
@@ -212,22 +212,24 @@ class TestBounds:
     def test_two_towers_caveat(self):
         b = generator_bounds(TOWERS2_SPEC)
         assert (b.lower, b.upper) == (1, 1)
-        assert any("information only" in n for n in b.notes)
+        assert any("information only" in n
+                   for n in classify(TOWERS2_SPEC).notes)
 
     def test_flux_ranks(self):
-        assert fmap_flux_rank(FLUTE_SPEC) == 0
-        assert fmap_flux_rank(TOWERS2_SPEC) == 1
-        assert fmap_flux_rank(SurfaceSpec(roots=((FLUTE, 3),))) == 2
-        assert fmap_flux_rank(THREE_ENDS_SPEC) == 1
+        assert generator_bounds(FLUTE_SPEC).flux_rank == 0
+        assert generator_bounds(TOWERS2_SPEC).flux_rank == 1
+        three_flutes = SurfaceSpec(roots=((FLUTE, 3),))
+        assert generator_bounds(three_flutes).flux_rank == 2
+        assert generator_bounds(THREE_ENDS_SPEC).flux_rank == 1
 
     def test_flux_rank_uncountable_error(self):
-        with pytest.raises(ValueError, match="uncountable"):
-            fmap_flux_rank(CANTOR_SPEC)
+        # the flux rank is certified for countable end spaces only
+        assert generator_bounds(CANTOR_SPEC).flux_rank is None
 
     def test_handle_pairs(self):
-        assert handle_pair_generators(LADDER_SPEC) == 1
-        assert handle_pair_generators(THREE_ENDS_SPEC) == 1
-        assert handle_pair_generators(FLUTE_SPEC) == 0
+        assert generator_bounds(LADDER_SPEC).handle_pair_generators == 1
+        assert generator_bounds(THREE_ENDS_SPEC).handle_pair_generators == 1
+        assert generator_bounds(FLUTE_SPEC).handle_pair_generators == 0
 
     def test_abelianization_upper(self):
         assert generator_bounds(CANTOR_SPEC).abelianization_upper == 1
@@ -251,7 +253,7 @@ class TestBounds:
                     if z is not HANDLE:
                         admits[z] = admits.get(z, 0) + m
             expected_zero = all(n == 1 for n in admits.values())
-            assert (fmap_flux_rank(s) == 0) == expected_zero
+            assert (generator_bounds(s).flux_rank == 0) == expected_zero
 
 
 KNOWN_RULES = {
@@ -281,7 +283,7 @@ class TestRuleTable:
             s = random_spec(rng)
             v = tng_verdict(s)
             if v.verdict is Verdict.YES:
-                b = generator_bounds(s, v)
+                b = generator_bounds(s)
                 assert b.lower <= b.upper
 
     def test_witnesses_sound_on_random_no_specs(self, rng):
@@ -300,7 +302,7 @@ class TestClassifyAssembly:
     def test_report_fields(self):
         r = classify(THREE_ENDS_SPEC)
         assert r.countable
-        assert r.invariants.M == 3
+        assert r.bounds.invariants.M == 3
         assert r.verdict.verdict is Verdict.NO
         assert r.bounds.upper == 9
         assert r.notes
@@ -311,19 +313,73 @@ class TestTrustContract:
     canonicalize_spec marks one."""
 
     def test_parse_then_classify_canonicalizes_once(self, monkeypatch):
-        # the submodule, not the function the package exports under its name
-        module = importlib.import_module("endcalc.classify")
         calls = []
 
         def counting(s):
             calls.append(s)
             return canonicalize_spec(s)
 
-        monkeypatch.setattr(module, "canonicalize_spec", counting)
+        monkeypatch.setattr(cl, "canonicalize_spec", counting)
         r = classify(parse("root omega^2 + 1 * 2\nroot acc(genus,[]) * 3\n"
                            "punctures 2\n"))
         assert r.verdict.verdict is Verdict.NO
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", [
+        "root omega^2 + 1 * 2\nroot acc(genus,[]) * 3\npunctures 2\n",
+        "root cantor(genus,[omega+1]) * cantor\npunctures 1\n",
+        "root omega + 1\nsub omega + 1 * 2\ngenus 1\n",
+    ])
+    def test_parse_then_classify_computes_each_value_once(self, monkeypatch,
+                                                          text):
+        calls = []
+
+        def counting(name):
+            original = getattr(cl, name)
+
+            def wrapper(s):
+                calls.append(name)
+                return original(s)
+            monkeypatch.setattr(cl, name, wrapper)
+
+        for name in ("validate", "invariant_bundle", "tng_verdict"):
+            counting(name)
+        monkeypatch.setattr(endspace, "type_closure", None)  # never walked
+        for fmt in ("JSON", "TEXT"):
+            emit_report(classify(parse(text)), fmt)
+        assert sorted(calls) == sorted(
+            ["validate", "invariant_bundle", "tng_verdict"] * 2)
+
+    def test_bounds_do_not_run_the_verdict(self, monkeypatch, rng):
+        def forbidden(s):
+            raise AssertionError("generator_bounds ran tng_verdict")
+
+        monkeypatch.setattr(cl, "tng_verdict", forbidden)
+        for s in (TOWERS2_SPEC, CANTOR_SPEC, THREE_ENDS_SPEC, DOUBLE_FLUX):
+            generator_bounds(s)
+        for _ in range(50):
+            generator_bounds(random_spec(rng))
+
+    def test_is_countable_is_the_closure_walk(self, rng):
+        # raw specs: unflagged CANTOR roots, Cantor types only below a root
+        # or in a subordinate, invalid specs too
+        seen = set()
+        for _ in range(400):
+            roots = tuple(
+                (random_tree(rng, rng.randint(0, 3), p_cantor=0.1),
+                 rng.choice((1, 2, 2, 3, CANTOR)))
+                for _ in range(rng.randint(1, 3)))
+            subs = tuple((random_tree(rng, rng.randint(0, 2), p_cantor=0.15),
+                          rng.randint(1, 2))
+                         for _ in range(rng.choice((0, 0, 1, 2))))
+            s = SurfaceSpec(roots=roots, subordinates=subs)
+            expected = (all(m is not CANTOR for _, m in roots)
+                        and not any(t.self_accumulating
+                                    for t in type_closure(s)))
+            assert s.is_countable() == expected
+            seen.add((expected, bool(subs)))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
     def test_replaced_spec_is_not_trusted(self):
         parsed = parse("root omega^2 + 1")
@@ -344,9 +400,10 @@ class TestTrustContract:
         assert tng_verdict(doubled).verdict is Verdict.NO
         assert self_similarity(doubled) is SelfSimilarity.NOT
         assert generator_bounds(doubled) == generator_bounds(expected)
-        assert fmap_flux_rank(doubled) == fmap_flux_rank(expected) == 1
-        assert (handle_pair_generators(doubled)
-                == handle_pair_generators(expected))
+        assert (generator_bounds(doubled).flux_rank
+                == generator_bounds(expected).flux_rank == 1)
+        assert (generator_bounds(doubled).handle_pair_generators
+                == generator_bounds(expected).handle_pair_generators)
 
     @pytest.mark.parametrize("raw", [
         SurfaceSpec(roots=((FLUTE, 0),)),
@@ -384,6 +441,13 @@ def _loaded_after(statement, module):
                          env=dict(os.environ,
                                   PYTHONPATH=os.pathsep.join(sys.path)))
     return out.stdout
+
+
+def test_submodule_name_binds_the_module():
+    # the package exports no function under the submodule's name
+    import endcalc
+    import endcalc.classify as module
+    assert module is sys.modules["endcalc.classify"] is endcalc.classify
 
 
 def test_import_does_not_load_the_oracle():

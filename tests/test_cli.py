@@ -346,6 +346,35 @@ class TestCorpusCommand:
         out = capsys.readouterr().out
         assert "verdict" in out  # header only
 
+    @pytest.mark.parametrize("body", [
+        "[]", '{"flute.surf": 3}', '{"flute.surf": {}, "x.surf": []}',
+    ])
+    def test_expectations_not_an_object_of_objects(self, body, tmp_path,
+                                                   capsys):
+        exp = tmp_path / "exp.json"
+        exp.write_text(body)
+        code = main(["corpus", str(CORPUS), "--expectations", str(exp)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err == ("error: expectations %s is not a JSON object of "
+                       "objects\n" % exp)
+
+    def test_expectations_nested_too_deep(self, tmp_path, capsys):
+        exp = tmp_path / "exp.json"
+        exp.write_text("[" * 100000)
+        code = main(["corpus", str(CORPUS), "--expectations", str(exp)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error reading expectations: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["missing", "flute.surf"])
+    def test_dir_not_a_directory(self, name, capsys):
+        code = main(["corpus", str(CORPUS / name)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: %s is not a directory\n" % (CORPUS / name)
+
     def test_parse_failure_in_corpus(self, tmp_path, capsys):
         (tmp_path / "bad.surf").write_text("root omega^omega + 1\n")
         assert main(["corpus", str(tmp_path)]) == EXIT_PARSE
