@@ -23,7 +23,6 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -32,6 +31,7 @@ from .endspace import (
     HANDLE,
     EndType,
     InvariantBundle,
+    Record,
     SpecError,
     SurfaceSpec,
     below,
@@ -71,12 +71,16 @@ MODEL_NOTE = ("finite accumulation trees have finite rank and no limit "
               "generated mapping class groups")
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    diagnostics: Tuple[str, ...]
-    notes: Tuple[str, ...]
-    canonical: Optional[SurfaceSpec]
+class ValidationResult(Record):
+    __slots__ = _fields = ("ok", "diagnostics", "notes", "canonical")
+
+    def __init__(self, ok: bool, diagnostics: Tuple[str, ...],
+                 notes: Tuple[str, ...], canonical: Optional[SurfaceSpec]):
+        init = object.__setattr__
+        init(self, "ok", ok)
+        init(self, "diagnostics", diagnostics)
+        init(self, "notes", notes)
+        init(self, "canonical", canonical)
 
 
 def validate(s: SurfaceSpec) -> ValidationResult:
@@ -125,8 +129,7 @@ def self_similarity(s: SurfaceSpec) -> SelfSimilarity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """One coordinate of a homomorphism onto an abelian group.
 
     FLUX counts ends of a named type crossing into a maximal-end cluster
@@ -135,21 +138,29 @@ class Character:
     class.  ``z`` is "handle" for genus flux.
     """
 
-    kind: str
-    z: Optional[str] = None
-    pair: Optional[Tuple[str, str]] = None
-    maximal_type: Optional[str] = None
+    __slots__ = _fields = ("kind", "z", "pair", "maximal_type")
+
+    def __init__(self, kind: str, z: Optional[str] = None,
+                 pair: Optional[Tuple[str, str]] = None,
+                 maximal_type: Optional[str] = None):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "z", z)
+        init(self, "pair", pair)
+        init(self, "maximal_type", maximal_type)
 
 
-@dataclass(frozen=True)
-class GeneratorImage:
-    name: str
-    kind: str  # shift | half_twist | handle_shift
-    image: Tuple[int, ...]
+class GeneratorImage(Record):
+    __slots__ = _fields = ("name", "kind", "image")
+
+    def __init__(self, name: str, kind: str, image: Tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "kind", kind)  # shift | half_twist | handle_shift
+        init(self, "image", image)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(Record):
     """A surjection onto Z^a x (Z/2)^b with a + b the character count.
 
     Non-cyclic requires a >= 2, b >= 2, or a, b >= 1; the generator
@@ -157,22 +168,34 @@ class ObstructionWitness:
     checks by composing random products.
     """
 
-    free_rank: int
-    torsion2: int
-    characters: Tuple[Character, ...]
-    generators: Tuple[GeneratorImage, ...]
+    __slots__ = _fields = ("free_rank", "torsion2", "characters",
+                           "generators")
+
+    def __init__(self, free_rank: int, torsion2: int,
+                 characters: Tuple[Character, ...],
+                 generators: Tuple[GeneratorImage, ...]):
+        init = object.__setattr__
+        init(self, "free_rank", free_rank)
+        init(self, "torsion2", torsion2)
+        init(self, "characters", characters)
+        init(self, "generators", generators)
 
     def is_noncyclic(self) -> bool:
         a, b = self.free_rank, self.torsion2
         return a >= 2 or b >= 2 or (a >= 1 and b >= 1)
 
 
-@dataclass(frozen=True)
-class TNGVerdict:
-    verdict: Verdict
-    rule: str
-    witness: Optional[ObstructionWitness] = None
-    notes: Tuple[str, ...] = ()
+class TNGVerdict(Record):
+    __slots__ = _fields = ("verdict", "rule", "witness", "notes")
+
+    def __init__(self, verdict: Verdict, rule: str,
+                 witness: Optional[ObstructionWitness] = None,
+                 notes: Tuple[str, ...] = ()):
+        init = object.__setattr__
+        init(self, "verdict", verdict)
+        init(self, "rule", rule)
+        init(self, "witness", witness)
+        init(self, "notes", notes)
 
 
 def _flux_characters(s: SurfaceSpec) -> List[Character]:
@@ -336,22 +359,33 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class Budget:
-    shifts: int
-    dehn: int
-    handles: int
+class Budget(Record):
+    __slots__ = _fields = ("shifts", "dehn", "handles")
+
+    def __init__(self, shifts: int, dehn: int, handles: int):
+        init = object.__setattr__
+        init(self, "shifts", shifts)
+        init(self, "dehn", dehn)
+        init(self, "handles", handles)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    lower: int
-    upper: int
-    flux_rank: Optional[int]  # None when the end space is uncountable
-    handle_pair_generators: int
-    budget: Budget
-    abelianization_upper: Optional[int]
-    invariants: InvariantBundle
+class BoundsReport(Record):
+    __slots__ = _fields = ("lower", "upper", "flux_rank",
+                           "handle_pair_generators", "budget",
+                           "abelianization_upper", "invariants")
+
+    def __init__(self, lower: int, upper: int, flux_rank: Optional[int],
+                 handle_pair_generators: int, budget: Budget,
+                 abelianization_upper: Optional[int],
+                 invariants: InvariantBundle):
+        init = object.__setattr__
+        init(self, "lower", lower)
+        init(self, "upper", upper)
+        init(self, "flux_rank", flux_rank)  # None when uncountable
+        init(self, "handle_pair_generators", handle_pair_generators)
+        init(self, "budget", budget)
+        init(self, "abelianization_upper", abelianization_upper)
+        init(self, "invariants", invariants)
 
 
 def generator_bounds(s: SurfaceSpec) -> BoundsReport:
@@ -398,14 +432,20 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    spec: SurfaceSpec
-    countable: bool
-    self_similar: SelfSimilarity
-    verdict: TNGVerdict
-    bounds: BoundsReport
-    notes: Tuple[str, ...] = ()
+class ClassificationReport(Record):
+    __slots__ = _fields = ("spec", "countable", "self_similar", "verdict",
+                           "bounds", "notes")
+
+    def __init__(self, spec: SurfaceSpec, countable: bool,
+                 self_similar: SelfSimilarity, verdict: TNGVerdict,
+                 bounds: BoundsReport, notes: Tuple[str, ...] = ()):
+        init = object.__setattr__
+        init(self, "spec", spec)
+        init(self, "countable", countable)
+        init(self, "self_similar", self_similar)
+        init(self, "verdict", verdict)
+        init(self, "bounds", bounds)
+        init(self, "notes", notes)
 
 
 def classify(s: SurfaceSpec) -> ClassificationReport:

@@ -4,7 +4,8 @@ Exit codes: 0 success; 1 an --expect or corpus expectation mismatched;
 2 parse or validation failure, including a --window, --k or --n outside
 its limits, a corpus dir that is not a directory, and an --expectations
 file that is not a JSON object of objects; 3 a property suite found a
-violation.
+violation; 4 an unexpected internal error, reported as one ``error:``
+line without a traceback.
 
 Limits: ``flux shift`` and ``flux swindle`` take a --window of 1 to
 100000 (MAX_WINDOW) and ``flux swindle`` a --k of 1 to 1000 (MAX_K);
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
+EXIT_INTERNAL = 4
 
 # Upper limits of the flux commands' sizes.  At its limits flux swindle
 # takes well under a second of CPU, and so does flux shift; flux check
@@ -300,11 +302,15 @@ def cmd_corpus(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "classify":
-        return cmd_classify(args)
-    if args.command == "flux":
-        return cmd_flux(args)
-    return cmd_corpus(args)
+    try:
+        if args.command == "classify":
+            return cmd_classify(args)
+        if args.command == "flux":
+            return cmd_flux(args)
+        return cmd_corpus(args)
+    except Exception as e:  # a bug: one line and its own exit code
+        print("error: internal error: %r" % e, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -33,8 +33,9 @@ is one column.
 
 Limits: an integer literal has at most :data:`MAX_INT_DIGITS` digits; an
 exponent, the nesting of ``[`` child lists, and the depth of every type
-built (through aliases too) are at most :data:`MAX_DEPTH`.  Input over a
-limit raises :class:`ParseError` at the offending token.
+built (through aliases too) are at most :data:`MAX_DEPTH`, the depth
+:mod:`endcalc.endspace` accepts (the parser recurses once per level too).
+Input over a limit raises :class:`ParseError` at the offending token.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .classify import (
@@ -53,8 +53,10 @@ from .classify import (
 )
 from .endspace import (
     CANTOR,
+    MAX_DEPTH,
     PUNCTURE,
     EndType,
+    Record,
     SurfaceSpec,
     format_type,
     planar_tower,
@@ -64,22 +66,20 @@ from .endspace import (
 KEYWORDS = {"type", "root", "sub", "punctures", "genus",
             "acc", "cantor", "puncture", "omega"}
 
-#: Deepest type, child-list nesting and ordinal exponent accepted.  The
-#: parser and the tree walks recurse once per level: depth 300 fits the
-#: default recursion limit, 400 does not.
-MAX_DEPTH = 256
-
 #: Longest integer literal accepted: counts derived from literals (at most
 #: quadratic) stay below 640 digits, which print under any interpreter setting.
 MAX_INT_DIGITS = 100
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-    start: int
-    end: int
+class SourceSpan(Record):
+    __slots__ = _fields = ("line", "column", "start", "end")
+
+    def __init__(self, line: int, column: int, start: int, end: int):
+        init = object.__setattr__
+        init(self, "line", line)
+        init(self, "column", column)
+        init(self, "start", start)
+        init(self, "end", end)
 
     def __str__(self) -> str:
         return "line %d, column %d" % (self.line, self.column)

@@ -10,24 +10,29 @@ by membership in the set of types appearing below a node.
 End types are interned (hash-consed): structurally equal trees are one
 and the same immutable object, so equality and hashing are by identity
 and cost the same at any depth.  Build a variant of a node with the
-:class:`EndType` constructor (or :func:`node`), never by mutation or
-``dataclasses.replace``.
+:class:`EndType` constructor (or :func:`node`), never by mutation.
+:func:`canonicalize`, :func:`below` and :func:`format_type` recurse once
+per level and raise ``ValueError`` on a tree deeper than
+:data:`MAX_DEPTH`.
 
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
 Cantor set (the :data:`CANTOR` marker).
 
+Surface specifications and the other value records of the package are
+:class:`Record` subclasses: immutable ``__slots__`` objects compared,
+hashed and printed by their ``_fields``.
+
 Trust contract: :func:`canonicalize_spec` marks its output ``validated``
 when it found no diagnostics, and :mod:`endcalc.classify` trusts a marked
-spec as canonical.  The constructor and ``dataclasses.replace`` cannot set
-the marker, and it plays no part in equality, hashing or repr.
+spec as canonical.  The constructor cannot set the marker, and it plays
+no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 
@@ -53,8 +58,17 @@ HANDLE = _Marker("HANDLE")
 
 Multiplicity = Union[int, _Marker]
 
+#: Deepest tree accepted by :func:`canonicalize`, :func:`below` and
+#: :func:`format_type`, and built by the parser.  They recurse once per
+#: level: depth 300 fits the default recursion limit, 400 does not.
+MAX_DEPTH = 256
+
 #: (direct_genus, self_accumulating, children) -> the one node with them.
 _INTERNED: dict = {}
+
+
+def _immutable(self, *args):
+    raise AttributeError("%s is immutable" % type(self).__name__)
 
 
 class EndType:
@@ -92,9 +106,6 @@ class EndType:
             # node, both must get the one that was stored
             t = _INTERNED.setdefault(key, t)
         return t
-
-    def _immutable(self, *args):
-        raise AttributeError("EndType is immutable")
 
     __setattr__ = __delattr__ = _immutable
 
@@ -152,6 +163,12 @@ def sort_key(t: EndType) -> tuple:
             tuple(sorted(sort_key(c) for c in t.children)))
 
 
+def _check_depth(t: EndType) -> None:
+    if t.depth() > MAX_DEPTH:
+        raise ValueError("type depth %d exceeds MAX_DEPTH (%d)"
+                         % (t.depth(), MAX_DEPTH))
+
+
 @functools.lru_cache(maxsize=None)
 def canonicalize(t: EndType) -> EndType:
     """Normal form deciding equivalence of types by tree equality.
@@ -160,6 +177,7 @@ def canonicalize(t: EndType) -> EndType:
     sibling are absorbed, and the direct-genus flag is cleared when a
     genus-accumulated type already lies strictly below this node.
     """
+    _check_depth(t)
     kids = frozenset(canonicalize(c) for c in t.children)
     reduced = frozenset(
         c for c in kids
@@ -175,6 +193,7 @@ def below(t: EndType) -> FrozenSet[EndType]:
 
     Expects a canonical tree; members are canonical.
     """
+    _check_depth(t)
     acc = set()
     for c in t.children:
         acc.add(c)
@@ -261,6 +280,43 @@ def _tower_depth(t: EndType) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its ``__slots__``, names in ``_fields`` those that
+    take part in equality, hashing and repr, and sets every slot in its
+    ``__init__`` through ``object.__setattr__``.  Records of different
+    classes never compare equal.  Copies and pickles keep every slot.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
 class SpecError(ValueError):
     """A surface description violating the model's invariants."""
 
@@ -269,8 +325,7 @@ class SpecError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """A whole infinite-type surface, up to homeomorphism of its end pair.
 
     roots: maximal end classes as (type, multiplicity) with multiplicity a
@@ -279,16 +334,23 @@ class SurfaceSpec:
         canonical form).
     extra_punctures: isolated planar ends beyond the tree structure.
     extra_genus: finite genus not accumulated at any end.
-    validated: set by :func:`canonicalize_spec` alone, on a canonical spec
-        without diagnostics.
+    validated: not a field; False from the constructor, set by
+        :func:`canonicalize_spec` alone, on a canonical spec without
+        diagnostics.
     """
 
-    roots: Tuple[Tuple[EndType, Multiplicity], ...] = ()
-    subordinates: Tuple[Tuple[EndType, int], ...] = ()
-    extra_punctures: int = 0
-    extra_genus: int = 0
-    validated: bool = field(default=False, init=False, repr=False,
-                            compare=False)
+    _fields = ("roots", "subordinates", "extra_punctures", "extra_genus")
+    __slots__ = _fields + ("validated",)
+
+    def __init__(self, roots: Tuple[Tuple[EndType, Multiplicity], ...] = (),
+                 subordinates: Tuple[Tuple[EndType, int], ...] = (),
+                 extra_punctures: int = 0, extra_genus: int = 0):
+        init = object.__setattr__
+        init(self, "roots", roots)
+        init(self, "subordinates", subordinates)
+        init(self, "extra_punctures", extra_punctures)
+        init(self, "extra_genus", extra_genus)
+        init(self, "validated", False)
 
     def root_types(self) -> Tuple[EndType, ...]:
         return tuple(t for t, _ in self.roots)
@@ -448,14 +510,17 @@ def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
                      if t is not HANDLE and not t.self_accumulating)
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(Record):
     """Counting invariants driving the generator bounds."""
 
-    M: int
-    C: int
-    M_iso: int
-    G0: FrozenSet[EndType]
+    __slots__ = _fields = ("M", "C", "M_iso", "G0")
+
+    def __init__(self, M: int, C: int, M_iso: int, G0: FrozenSet[EndType]):
+        init = object.__setattr__
+        init(self, "M", M)
+        init(self, "C", C)
+        init(self, "M_iso", M_iso)
+        init(self, "G0", G0)
 
 
 def admissible_pairs(s: SurfaceSpec):

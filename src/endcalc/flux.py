@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+
+from .endspace import Record
 
 
 class EndPerm:
@@ -131,15 +132,14 @@ class ShiftKind(Enum):
     SPONTANEOUS = "SPONTANEOUS"
 
 
-@dataclass(frozen=True)
-class FiniteExcluded:
+class FiniteExcluded(Record):
     """Finitely many indices skipped by the shift."""
 
-    values: Tuple[int, ...] = ()
-    _members: FrozenSet[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "_members")
+    _fields = ("values",)
 
-    def __post_init__(self):
-        members = frozenset(self.values)
+    def __init__(self, values: Tuple[int, ...] = ()):
+        members = frozenset(values)
         object.__setattr__(self, "values", tuple(sorted(members)))
         object.__setattr__(self, "_members", members)
 
@@ -147,27 +147,28 @@ class FiniteExcluded:
         return k in self._members
 
 
-@dataclass(frozen=True)
-class PeriodicExcluded:
+class PeriodicExcluded(Record):
     """Indices k >= threshold with k mod period in residues are skipped.
 
     The residues must be a nonempty proper subset of the period's classes
     so that the shifted index set stays unbounded in both directions.
     """
 
-    threshold: int
-    period: int
-    residues: Tuple[int, ...]
+    __slots__ = _fields = ("threshold", "period", "residues")
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, threshold: int, period: int,
+                 residues: Tuple[int, ...]):
+        if period < 1:
             raise ValueError("period must be positive")
-        rs = tuple(sorted({r % self.period for r in self.residues}))
-        object.__setattr__(self, "residues", rs)
+        rs = tuple(sorted({r % period for r in residues}))
         if not rs:
             raise ValueError("periodic excluded set needs at least one residue")
-        if len(rs) >= self.period:
+        if len(rs) >= period:
             raise ValueError("excluding every residue leaves no indices to shift")
+        init = object.__setattr__
+        init(self, "threshold", threshold)
+        init(self, "period", period)
+        init(self, "residues", rs)
 
     def contains(self, k: int) -> bool:
         return k >= self.threshold and (k % self.period) in self.residues
@@ -176,11 +177,13 @@ class PeriodicExcluded:
 Excluded = Union[FiniteExcluded, PeriodicExcluded]
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(Record):
     """A shift map given by which integer indices it skips."""
 
-    excluded: Excluded = FiniteExcluded()
+    __slots__ = _fields = ("excluded",)
+
+    def __init__(self, excluded: Excluded = FiniteExcluded()):
+        object.__setattr__(self, "excluded", excluded)
 
     def eta(self, i: int) -> int:
         """The shift evaluated on index i: skipped indices stay fixed."""

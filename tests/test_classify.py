@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pickle
 import random
@@ -385,10 +384,13 @@ class TestTrustContract:
         parsed = parse("root omega^2 + 1")
         assert parsed.validated
         (root,) = parsed.roots
-        doubled = dataclasses.replace(parsed, roots=(root, root))
+        doubled = SurfaceSpec(roots=(root, root),
+                              subordinates=parsed.subordinates,
+                              extra_punctures=parsed.extra_punctures,
+                              extra_genus=parsed.extra_genus)
         assert not doubled.validated
-        with pytest.raises(ValueError):
-            dataclasses.replace(parsed, validated=True)
+        with pytest.raises(AttributeError):
+            parsed.validated = True
         with pytest.raises(TypeError):
             SurfaceSpec(roots=parsed.roots, validated=True)
         expected = parse("root omega^2 + 1 * 2")
@@ -458,3 +460,11 @@ def test_import_does_not_load_the_oracle():
 def test_cli_import_does_not_load_flux():
     # only the flux commands need the permutation models
     assert _loaded_after("import endcalc.cli", "endcalc.flux") == "False\n"
+
+
+@pytest.mark.parametrize("module", ["endcalc.cli", "endcalc.flux"])
+@pytest.mark.parametrize("heavy", ["dataclasses", "inspect"])
+def test_import_does_not_load_dataclasses(module, heavy):
+    # the records are plain __slots__ classes: a cold process skips the
+    # dataclasses machinery and the inspect, ast and dis modules it loads
+    assert _loaded_after("import " + module, heavy) == "False\n"

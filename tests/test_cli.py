@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endcalc.cli import (
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -395,3 +399,116 @@ class TestCorpusCommand:
         out = capsys.readouterr().out
         names = [ln.split()[0] for ln in out.strip().split("\n")[1:]]
         assert names == sorted(names)
+
+
+class TestUnexpectedErrors:
+    @pytest.mark.parametrize("argv", [
+        ["classify", str(CORPUS / "flute.surf")],
+        ["corpus", str(CORPUS)],
+    ])
+    def test_internal_error_exits_4_with_one_line(self, argv, capsys,
+                                                  monkeypatch):
+        import endcalc.cli as cli
+
+        def broken(spec):
+            raise RuntimeError("planted\nfailure")
+        monkeypatch.setattr(cli, "classify", broken)
+        assert main(argv) == EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError('planted\\nfailure')\n"
+
+
+# Small pieces of .surf text, valid and not: random joins reach the
+# parser, the validator and the classifier.
+_SURF_PIECES = st.sampled_from([
+    b"root ", b"sub ", b"type t = ", b"punctures ", b"genus ", b"t", b"omega",
+    b"^", b"2", b"+ 1", b"* ", b"cantor", b"acc(", b"genus,", b"[", b"]",
+    b")", b",", b"puncture", b"\n", b"# c", b"\xff", b"\r", b"9" * 120,
+])
+_SURF_LINES = st.sampled_from([
+    b"root omega + 1\n", b"root omega^2 + 1 * 2\n", b"root acc(genus,[])\n",
+    b"root cantor(genus) * cantor\n", b"root cantor([puncture]) * cantor\n",
+    b"sub omega + 1 * 3\n", b"punctures 2\n", b"genus 1\n",
+    b"type t = acc([omega + 1])\nroot t * 2\n",
+])
+_SURF = st.one_of(st.lists(_SURF_LINES, min_size=1, max_size=4).map(b"".join),
+                  st.lists(_SURF_PIECES, max_size=14).map(b"".join),
+                  st.binary(max_size=24))
+_EXPECTATIONS = st.sampled_from([
+    b"{}", b'{"a.surf": {"verdict": "YES"}}', b'{"a.surf": {"nope": 1}}',
+    b'{"b.surf": {}}', b"[]", b'{"a.surf": 3}', b"{", b"\xff", b"[" * 2000,
+])
+# Sizes stay small so that no example runs a long suite.
+_NUMBER = st.sampled_from(["1", "2", "3", "1", "0", "-2", "x", "9" * 30])
+_FLUX_ARGS = st.one_of(
+    st.tuples(st.just("phi"), st.just("--perm"),
+              st.sampled_from(["d=1", "d=0 table={0:1,1:0}", "d=0 table={0:0",
+                               "table={0:5}", "d=x"]),
+              st.just("--cut"), _NUMBER),
+    st.tuples(st.just("theta"), st.just("--perms"),
+              st.sampled_from(["d=1;d=0", "", ";", "d=1;bad"]),
+              st.just("--n"), _NUMBER),
+    st.tuples(st.just("shift"), st.just("--spec"),
+              st.sampled_from(["excluded=finite{0,5}", "excluded=finite{}",
+                               "excluded=periodic{N=1,p=3,r=0}",
+                               "excluded=periodic{N=1,p=0,r=0}",
+                               "excluded=periodic{N=1,p=2,r=0,1}", "x"]),
+              st.just("--window"), _NUMBER),
+    st.tuples(st.just("swindle"), st.just("--perm"),
+              st.sampled_from(["d=0 table={0:1,1:0}", "d=2", "bad"]),
+              st.just("--k"), _NUMBER, st.just("--window"), _NUMBER),
+    st.tuples(st.just("check"), st.just("--suite"),
+              st.sampled_from(["additivity", "theta", "normalize", "swindle",
+                               "bogus"]),
+              st.just("--n"), _NUMBER, st.just("--window"), _NUMBER,
+              st.just("--seed"), _NUMBER),
+)
+_FLAGS = st.tuples(
+    st.lists(st.sampled_from(["--json", "--witness", "--bounds"]), max_size=3),
+    st.sampled_from([[], ["--expect", "YES"], ["--expect", "NO"],
+                     ["--expect", "UNKNOWN"], ["--expect"], ["--bogus"]]),
+).map(lambda t: t[0] + t[1])
+_ARGV = st.one_of(
+    st.tuples(st.just("classify"),
+              st.sampled_from(["{surf}", "{missing}", "{dir}"]),
+              _FLAGS).map(lambda t: [t[0], t[1], *t[2]]),
+    st.tuples(st.just("corpus"), st.sampled_from(["{dir}", "{surf}"]),
+              st.lists(st.sampled_from(["--expectations", "{exp}",
+                                        "{missing}"]), max_size=2))
+    .map(lambda t: [t[0], t[1], *t[2]]),
+    _FLUX_ARGS.map(lambda t: ["flux", *t]),
+    st.lists(st.sampled_from(["classify", "flux", "corpus", "phi", "check",
+                              "--json", "--n", "1", "{surf}", "-h", ""]),
+             max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200)
+@given(argv=_ARGV, surf=_SURF, expectations=_EXPECTATIONS)
+def test_every_input_ends_in_a_documented_exit(fuzz_dir, argv, surf,
+                                               expectations):
+    # in process through main: argparse's SystemExit counts as its code
+    corpus_dir = fuzz_dir / "corpus"
+    corpus_dir.mkdir(exist_ok=True)
+    (corpus_dir / "a.surf").write_bytes(surf)
+    (fuzz_dir / "exp.json").write_bytes(expectations)
+    paths = {"{surf}": str(corpus_dir / "a.surf"), "{dir}": str(corpus_dir),
+             "{exp}": str(fuzz_dir / "exp.json"),
+             "{missing}": str(fuzz_dir / "missing.surf")}
+    argv = [paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert sum("error:" in line for line in text.splitlines()) <= 1, text

@@ -1,7 +1,9 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 
@@ -13,6 +15,7 @@ from endcalc.endspace import (
     HANDLE,
     EndType,
     LOCH_NESS,
+    MAX_DEPTH,
     PUNCTURE,
     SurfaceSpec,
     below,
@@ -112,6 +115,26 @@ class TestInterning:
         assert tower is planar_tower(5000)
         assert tower == planar_tower(5000) and tower != planar_tower(4999)
         assert {tower: 1}[planar_tower(5000)] == 1
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("walk", [canonicalize, below, format_type])
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+    def test_deeper_trees_raise_value_error(self, walk, depth):
+        with pytest.raises(ValueError) as exc:
+            walk(planar_tower(depth))
+        assert str(exc.value) == ("type depth %d exceeds MAX_DEPTH (%d)"
+                                  % (depth, MAX_DEPTH))
+
+    def test_walks_reach_the_limit_with_cold_caches(self):
+        # a fresh interpreter: no shallower tower is cached
+        code = ("from endcalc.endspace import *; t = planar_tower(MAX_DEPTH); "
+                "print(format_type(t), len(below(canonicalize(t))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env=dict(os.environ,
+                                      PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout == "omega^%d+1 %d\n" % (MAX_DEPTH, MAX_DEPTH)
 
 
 class TestCanonicalize:
