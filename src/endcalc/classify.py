@@ -30,7 +30,6 @@ from .endspace import (
     CANTOR,
     HANDLE,
     EndType,
-    InvariantBundle,
     Record,
     SpecError,
     SurfaceSpec,
@@ -73,14 +72,6 @@ MODEL_NOTE = ("finite accumulation trees have finite rank and no limit "
 
 class ValidationResult(Record):
     __slots__ = _fields = ("ok", "diagnostics", "notes", "canonical")
-
-    def __init__(self, ok: bool, diagnostics: Tuple[str, ...],
-                 notes: Tuple[str, ...], canonical: Optional[SurfaceSpec]):
-        init = object.__setattr__
-        init(self, "ok", ok)
-        init(self, "diagnostics", diagnostics)
-        init(self, "notes", notes)
-        init(self, "canonical", canonical)
 
 
 def validate(s: SurfaceSpec) -> ValidationResult:
@@ -139,25 +130,12 @@ class Character(Record):
     """
 
     __slots__ = _fields = ("kind", "z", "pair", "maximal_type")
-
-    def __init__(self, kind: str, z: Optional[str] = None,
-                 pair: Optional[Tuple[str, str]] = None,
-                 maximal_type: Optional[str] = None):
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "z", z)
-        init(self, "pair", pair)
-        init(self, "maximal_type", maximal_type)
+    _defaults = {"z": None, "pair": None, "maximal_type": None}
 
 
 class GeneratorImage(Record):
+    # kind: shift | half_twist | handle_shift
     __slots__ = _fields = ("name", "kind", "image")
-
-    def __init__(self, name: str, kind: str, image: Tuple[int, ...]):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "kind", kind)  # shift | half_twist | handle_shift
-        init(self, "image", image)
 
 
 class ObstructionWitness(Record):
@@ -171,15 +149,6 @@ class ObstructionWitness(Record):
     __slots__ = _fields = ("free_rank", "torsion2", "characters",
                            "generators")
 
-    def __init__(self, free_rank: int, torsion2: int,
-                 characters: Tuple[Character, ...],
-                 generators: Tuple[GeneratorImage, ...]):
-        init = object.__setattr__
-        init(self, "free_rank", free_rank)
-        init(self, "torsion2", torsion2)
-        init(self, "characters", characters)
-        init(self, "generators", generators)
-
     def is_noncyclic(self) -> bool:
         a, b = self.free_rank, self.torsion2
         return a >= 2 or b >= 2 or (a >= 1 and b >= 1)
@@ -187,15 +156,7 @@ class ObstructionWitness(Record):
 
 class TNGVerdict(Record):
     __slots__ = _fields = ("verdict", "rule", "witness", "notes")
-
-    def __init__(self, verdict: Verdict, rule: str,
-                 witness: Optional[ObstructionWitness] = None,
-                 notes: Tuple[str, ...] = ()):
-        init = object.__setattr__
-        init(self, "verdict", verdict)
-        init(self, "rule", rule)
-        init(self, "witness", witness)
-        init(self, "notes", notes)
+    _defaults = {"witness": None, "notes": ()}
 
 
 def _flux_characters(s: SurfaceSpec) -> List[Character]:
@@ -362,30 +323,12 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 class Budget(Record):
     __slots__ = _fields = ("shifts", "dehn", "handles")
 
-    def __init__(self, shifts: int, dehn: int, handles: int):
-        init = object.__setattr__
-        init(self, "shifts", shifts)
-        init(self, "dehn", dehn)
-        init(self, "handles", handles)
-
 
 class BoundsReport(Record):
-    __slots__ = _fields = ("lower", "upper", "flux_rank",
+    __slots__ = _fields = ("lower", "upper",
+                           "flux_rank",  # None when uncountable
                            "handle_pair_generators", "budget",
                            "abelianization_upper", "invariants")
-
-    def __init__(self, lower: int, upper: int, flux_rank: Optional[int],
-                 handle_pair_generators: int, budget: Budget,
-                 abelianization_upper: Optional[int],
-                 invariants: InvariantBundle):
-        init = object.__setattr__
-        init(self, "lower", lower)
-        init(self, "upper", upper)
-        init(self, "flux_rank", flux_rank)  # None when uncountable
-        init(self, "handle_pair_generators", handle_pair_generators)
-        init(self, "budget", budget)
-        init(self, "abelianization_upper", abelianization_upper)
-        init(self, "invariants", invariants)
 
 
 def generator_bounds(s: SurfaceSpec) -> BoundsReport:
@@ -435,17 +378,7 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
 class ClassificationReport(Record):
     __slots__ = _fields = ("spec", "countable", "self_similar", "verdict",
                            "bounds", "notes")
-
-    def __init__(self, spec: SurfaceSpec, countable: bool,
-                 self_similar: SelfSimilarity, verdict: TNGVerdict,
-                 bounds: BoundsReport, notes: Tuple[str, ...] = ()):
-        init = object.__setattr__
-        init(self, "spec", spec)
-        init(self, "countable", countable)
-        init(self, "self_similar", self_similar)
-        init(self, "verdict", verdict)
-        init(self, "bounds", bounds)
-        init(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 def classify(s: SurfaceSpec) -> ClassificationReport:

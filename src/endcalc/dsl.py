@@ -74,13 +74,6 @@ MAX_INT_DIGITS = 100
 class SourceSpan(Record):
     __slots__ = _fields = ("line", "column", "start", "end")
 
-    def __init__(self, line: int, column: int, start: int, end: int):
-        init = object.__setattr__
-        init(self, "line", line)
-        init(self, "column", column)
-        init(self, "start", start)
-        init(self, "end", end)
-
     def __str__(self) -> str:
         return "line %d, column %d" % (self.line, self.column)
 

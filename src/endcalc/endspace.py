@@ -11,9 +11,9 @@ End types are interned (hash-consed): structurally equal trees are one
 and the same immutable object, so equality and hashing are by identity
 and cost the same at any depth.  Build a variant of a node with the
 :class:`EndType` constructor (or :func:`node`), never by mutation.
-:func:`canonicalize`, :func:`below` and :func:`format_type` recurse once
-per level and raise ``ValueError`` on a tree deeper than
-:data:`MAX_DEPTH`.
+:func:`canonicalize`, :func:`below`, :func:`in_EG` and :func:`format_type`
+recurse once per level and raise ``ValueError`` on a tree deeper than
+:data:`MAX_DEPTH`; the repr of such a tree shows only its depth.
 
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
@@ -21,7 +21,9 @@ Cantor set (the :data:`CANTOR` marker).
 
 Surface specifications and the other value records of the package are
 :class:`Record` subclasses: immutable ``__slots__`` objects compared,
-hashed and printed by their ``_fields``.
+hashed and printed by their ``_fields``.  A record that only stores its
+arguments names its fields once, in ``_fields`` (with ``_defaults`` for
+the trailing ones), and gets a generated ``__init__``.
 
 Trust contract: :func:`canonicalize_spec` marks its output ``validated``
 when it found no diagnostics, and :mod:`endcalc.classify` trusts a marked
@@ -58,9 +60,10 @@ HANDLE = _Marker("HANDLE")
 
 Multiplicity = Union[int, _Marker]
 
-#: Deepest tree accepted by :func:`canonicalize`, :func:`below` and
-#: :func:`format_type`, and built by the parser.  They recurse once per
-#: level: depth 300 fits the default recursion limit, 400 does not.
+#: Deepest tree accepted by :func:`canonicalize`, :func:`below`,
+#: :func:`in_EG` and :func:`format_type`, and built by the parser.  They
+#: recurse once per level: depth 300 fits the default recursion limit, 400
+#: does not.
 MAX_DEPTH = 256
 
 #: (direct_genus, self_accumulating, children) -> the one node with them.
@@ -127,6 +130,8 @@ class EndType:
         return self._depth
 
     def __repr__(self) -> str:
+        if self._depth > MAX_DEPTH:  # too deep for format_type
+            return "EndType(<depth %d>)" % self._depth
         return f"EndType({format_type(self)!r})"
 
 
@@ -179,10 +184,7 @@ def canonicalize(t: EndType) -> EndType:
     """
     _check_depth(t)
     kids = frozenset(canonicalize(c) for c in t.children)
-    reduced = frozenset(
-        c for c in kids
-        if not any(c2 != c and c in below(c2) for c2 in kids)
-    )
+    reduced = frozenset(_maximal(kids))
     genus = t.direct_genus and not any(in_EG(c) for c in reduced)
     return EndType(genus, t.self_accumulating, reduced)
 
@@ -206,7 +208,20 @@ def below(t: EndType) -> FrozenSet[EndType]:
 @functools.lru_cache(maxsize=None)
 def in_EG(t: EndType) -> bool:
     """True when the end is accumulated by genus (directly or below)."""
-    return t.direct_genus or any(in_EG(c) for c in t.children)
+    _check_depth(t)
+    if t.direct_genus:
+        return True
+    for c in t.children:  # a loop, not any(): one frame per level
+        if in_EG(c):
+            return True
+    return False
+
+
+def _maximal(types) -> list:
+    """The members of a collection of canonical types lying below no
+    other member (absorption)."""
+    return [t for t in types
+            if not any(t2 != t and t in below(t2) for t2 in types)]
 
 
 def preceq(y: EndType, x: EndType) -> bool:
@@ -232,11 +247,7 @@ def immediate_predecessors(x: EndType) -> FrozenSet[Union[EndType, _Marker]]:
     still set after canonicalization).
     """
     cx = canonicalize(x)
-    strict = [t for t in below(cx) if t != cx]
-    out: set = set()
-    for t in strict:
-        if not any(t2 != t and t in below(t2) for t2 in strict):
-            out.add(t)
+    out = set(_maximal([t for t in below(cx) if t != cx]))
     if cx.direct_genus:
         out.add(HANDLE)
     return frozenset(out)
@@ -283,14 +294,40 @@ def _tower_depth(t: EndType) -> Optional[int]:
 class Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its ``__slots__``, names in ``_fields`` those that
-    take part in equality, hashing and repr, and sets every slot in its
-    ``__init__`` through ``object.__setattr__``.  Records of different
-    classes never compare equal.  Copies and pickles keep every slot.
+    A subclass names its fields once, in ``_fields``: they take part in
+    equality, hashing and repr, and are usually its whole ``__slots__``.
+    A subclass that defines no ``__init__`` gets one generated from
+    ``_fields``: it takes the fields in order, with defaults for the last
+    of them from ``_defaults`` (field name -> value), and sets each slot
+    through ``object.__setattr__``.  A subclass whose constructor does
+    more than store its arguments writes its own ``__init__`` and sets
+    every slot the same way.  Records of different classes never compare
+    equal.  Copies and pickles keep every slot.
     """
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            return
+        fields, defaults = cls._fields, cls._defaults
+        source = ("def __init__(self, %s):\n    init = object.__setattr__\n"
+                  % ", ".join(fields))
+        source += "".join("    init(self, %r, %s)\n" % (name, name)
+                          for name in fields)
+        namespace: dict = {}
+        exec(source, namespace)
+        init = namespace["__init__"]
+        # a _defaults key that is not one of the last fields is a KeyError
+        init.__defaults__ = tuple(
+            defaults[name]
+            for name in fields[len(fields) - len(defaults):]) or None
+        init.__qualname__ = cls.__qualname__ + ".__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     __setattr__ = __delattr__ = _immutable
 
@@ -440,13 +477,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         else:
             extra_p += m
 
-    # absorb roots dominated by other roots
-    kept = {}
-    for ct, m in roots.items():
-        if any(ct != other and ct in below(other) for other in roots):
-            continue
-        kept[ct] = m
-    roots = kept
+    roots = {ct: roots[ct] for ct in _maximal(roots)}  # absorb dominated
 
     subs: dict = {}
     for t, n in s.subordinates:
@@ -514,13 +545,6 @@ class InvariantBundle(Record):
     """Counting invariants driving the generator bounds."""
 
     __slots__ = _fields = ("M", "C", "M_iso", "G0")
-
-    def __init__(self, M: int, C: int, M_iso: int, G0: FrozenSet[EndType]):
-        init = object.__setattr__
-        init(self, "M", M)
-        init(self, "C", C)
-        init(self, "M_iso", M_iso)
-        init(self, "G0", G0)
 
 
 def admissible_pairs(s: SurfaceSpec):

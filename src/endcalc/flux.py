@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from enum import Enum
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .endspace import Record
 
@@ -174,16 +174,12 @@ class PeriodicExcluded(Record):
         return k >= self.threshold and (k % self.period) in self.residues
 
 
-Excluded = Union[FiniteExcluded, PeriodicExcluded]
-
-
 class ShiftSpec(Record):
-    """A shift map given by which integer indices it skips."""
+    """A shift map given by which integer indices it skips: ``excluded``
+    is a FiniteExcluded (by default the empty one) or a PeriodicExcluded."""
 
     __slots__ = _fields = ("excluded",)
-
-    def __init__(self, excluded: Excluded = FiniteExcluded()):
-        object.__setattr__(self, "excluded", excluded)
+    _defaults = {"excluded": FiniteExcluded()}
 
     def eta(self, i: int) -> int:
         """The shift evaluated on index i: skipped indices stay fixed."""

@@ -118,7 +118,7 @@ class TestInterning:
 
 
 class TestDepthLimit:
-    @pytest.mark.parametrize("walk", [canonicalize, below, format_type])
+    @pytest.mark.parametrize("walk", [canonicalize, below, in_EG, format_type])
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
     def test_deeper_trees_raise_value_error(self, walk, depth):
         with pytest.raises(ValueError) as exc:
@@ -127,14 +127,25 @@ class TestDepthLimit:
                                   % (depth, MAX_DEPTH))
 
     def test_walks_reach_the_limit_with_cold_caches(self):
-        # a fresh interpreter: no shallower tower is cached
+        # a fresh interpreter: no shallower tower is cached, and in_EG runs
+        # before canonicalize could fill its cache bottom-up
         code = ("from endcalc.endspace import *; t = planar_tower(MAX_DEPTH); "
-                "print(format_type(t), len(below(canonicalize(t))))")
+                "print(in_EG(t), format_type(t), len(below(canonicalize(t))))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60,
                              env=dict(os.environ,
                                       PYTHONPATH=os.pathsep.join(sys.path)))
-        assert out.stdout == "omega^%d+1 %d\n" % (MAX_DEPTH, MAX_DEPTH)
+        assert out.stdout == "False omega^%d+1 %d\n" % (MAX_DEPTH, MAX_DEPTH)
+
+    def test_repr_above_the_limit_shows_only_the_depth(self):
+        assert (repr(planar_tower(MAX_DEPTH + 1))
+                == "EndType(<depth %d>)" % (MAX_DEPTH + 1))
+        assert repr(planar_tower(5000)) == "EndType(<depth 5000>)"
+        at_limit = node(genus=True, children=[planar_tower(MAX_DEPTH - 1)])
+        assert repr(at_limit) == "EndType('acc(genus,[omega^%d+1])')" % (
+            MAX_DEPTH - 1)
+        assert repr(planar_tower(MAX_DEPTH)) == "EndType('omega^%d+1')" % (
+            MAX_DEPTH)
 
 
 class TestCanonicalize:

@@ -1,15 +1,20 @@
 """The value records keep the behaviour of frozen dataclasses: equality
-and hashing by fields, the same repr, immutability, copies and pickles."""
+and hashing by fields, the same repr, immutability, copies and pickles,
+and constructors that take the fields in order."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
 from endcalc.classify import (
+    BoundsReport,
     Budget,
     Character,
+    ClassificationReport,
     GeneratorImage,
+    ObstructionWitness,
     TNGVerdict,
     ValidationResult,
     Verdict,
@@ -19,6 +24,7 @@ from endcalc.dsl import SourceSpan, parse
 from endcalc.endspace import (
     CANTOR_LEAF,
     InvariantBundle,
+    Record,
     SurfaceSpec,
     flute,
 )
@@ -90,6 +96,38 @@ def test_copies_and_pickles_keep_every_slot(build, other):
         assert type(c) is type(a) and c == a and hash(c) == hash(a)
         for name in type(a).__slots__:
             assert getattr(c, name) == getattr(a, name)
+
+
+# the records whose __init__ Record generates from _fields and _defaults
+GENERATED = [ValidationResult, Character, GeneratorImage, ObstructionWitness,
+             TNGVerdict, Budget, BoundsReport, ClassificationReport,
+             SourceSpan, InvariantBundle, ShiftSpec]
+
+
+def test_only_three_records_write_their_own_init():
+    own = {SurfaceSpec, FiniteExcluded, PeriodicExcluded}
+    assert set(Record.__subclasses__()) == set(GENERATED) | own
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_generated_init_takes_the_fields_in_order(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert tuple(p.name for p in params) == cls._fields
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params
+            if p.default is not p.empty} == cls._defaults
+    required = [p.name for p in params if p.default is p.empty]
+    init = cls.__name__ + ".__init__()"
+    if required:
+        with pytest.raises(TypeError) as exc:
+            cls(*range(len(required) - 1))
+        assert str(exc.value) == (
+            "%s missing 1 required positional argument: %r"
+            % (init, required[-1]))
+    with pytest.raises(TypeError) as exc:
+        cls(*range(len(required)), unexpected=0)
+    assert str(exc.value) == (
+        "%s got an unexpected keyword argument 'unexpected'" % init)
 
 
 def test_reprs():

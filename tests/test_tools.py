@@ -1,7 +1,7 @@
-"""Smoke test of ``tools/report_digest.py`` on a few generated surfaces."""
+"""``tools/report_digest.py`` on a few generated surfaces: the reports are
+byte-identical to the pinned digest."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +19,11 @@ def _digest(hash_seed: str) -> str:
     return out.stdout
 
 
+# change only with a change meant to alter a report, and say which
+PINNED = ("valid=78 sha256="
+          "67a6c013dc5773ce3ddbf2a0aceb8f0c0ed17bfae0be37287589d86e8ef8bdb7\n")
+
+
 def test_report_digest_is_stable():
-    line = _digest("0")
-    m = re.fullmatch(r"valid=(\d+) sha256=[0-9a-f]{64}\n", line)
-    assert m, line
-    assert 0 < int(m.group(1)) < 80  # the range holds invalid surfaces too
-    assert _digest("1") == line  # reports do not depend on hash order
+    assert _digest("0") == PINNED
+    assert _digest("1") == PINNED  # reports do not depend on hash order
