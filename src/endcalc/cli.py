@@ -3,9 +3,9 @@
 Exit codes: 0 success; 1 an --expect or corpus expectation mismatched;
 2 parse or validation failure, including a --window, --k or --n outside
 its limits, a corpus dir that is not a directory, and an --expectations
-file that is not a JSON object of objects; 3 a property suite found a
-violation; 4 an unexpected internal error, reported as one ``error:``
-line without a traceback.
+file that cannot be read as JSON or is not a JSON object of objects; 3 a
+property suite found a violation; 4 an unexpected internal error,
+reported as one ``error:`` line without a traceback.
 
 Limits: ``flux shift`` and ``flux swindle`` take a --window of 1 to
 100000 (MAX_WINDOW) and ``flux swindle`` a --k of 1 to 1000 (MAX_K);
@@ -239,8 +239,9 @@ def cmd_corpus(args) -> int:
     if args.expectations:
         try:
             expectations = json.loads(Path(args.expectations).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as e:
+        except (OSError, ValueError, RecursionError) as e:
+            # ValueError: malformed JSON, bad UTF-8, or an integer over
+            # the interpreter's digit limit
             print("error reading expectations: %s" % e, file=sys.stderr)
             return EXIT_PARSE
         if not (isinstance(expectations, dict) and all(

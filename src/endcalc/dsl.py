@@ -41,8 +41,8 @@ Input over a limit raises :class:`ParseError` at the offending token.
 from __future__ import annotations
 
 import itertools
-import json
 import re
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Tuple
 
 from .classify import (
@@ -403,10 +403,14 @@ def report_to_dict(r: ClassificationReport, include_witness: bool = True):
 def emit_report(r: ClassificationReport, fmt: str = "TEXT",
                 include_witness: bool = True,
                 include_bounds: bool = True) -> str:
-    """Render a classification report; JSON output is byte-stable."""
+    """Render a classification report as ``"TEXT"`` or ``"JSON"``.
+
+    JSON output is byte-identical to ``json.dumps(report_to_dict(r,
+    include_witness), sort_keys=True, indent=2) + "\\n"``.  ``include_bounds``
+    applies to TEXT only: the JSON report always holds its bounds.
+    """
     if fmt.upper() == "JSON":
-        return json.dumps(report_to_dict(r, include_witness),
-                          sort_keys=True, indent=2) + "\n"
+        return _json(report_to_dict(r, include_witness), "") + "\n"
     if fmt.upper() != "TEXT":
         raise ValueError("unknown report format %r" % fmt)
 
@@ -437,6 +441,40 @@ def emit_report(r: ClassificationReport, fmt: str = "TEXT",
     for note in r.notes:
         lines.append("note: %s" % note)
     return "\n".join(lines) + "\n"
+
+
+def _json(v, pad: str) -> str:
+    """``json.dumps(v, sort_keys=True, indent=2)``, nested under the indent
+    ``pad``, for the dict, list, str, int, bool and ``None`` values that
+    :func:`report_to_dict` builds; any other value or dict key raises
+    ``TypeError``.  With ``indent`` set, ``json.dumps`` runs the stdlib's
+    pure-Python encoder, at about twice the cost of this writer."""
+    t = type(v)
+    if t is str:
+        return _json_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            [_json_str(k) + ": " + _json(x, inner)
+             for k, x in sorted(v.items())]) + "\n" + pad + "}")
+    if t is list:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_json(x, inner) for x in v]) + "\n" + pad + "]")
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % t.__name__)
 
 
 def _witness_text(w: ObstructionWitness) -> List[str]:

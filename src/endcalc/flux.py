@@ -599,6 +599,8 @@ def _perm_inverse(rho: Sequence[int]) -> Tuple[int, ...]:
 
 def theta_z(strip_models: Sequence[EndPerm], n_ends: int) -> Tuple[int, ...]:
     """Per-strip flux tuple of one mapping class on N-1 disjoint strips."""
+    if n_ends < 1:
+        raise ValueError("need at least one maximal end (got %d)" % n_ends)
     if len(strip_models) != n_ends - 1:
         raise ValueError("need exactly one strip model per non-basepoint end "
                          "(%d expected, got %d)"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -267,6 +270,21 @@ def check_witness_on_models(witness: ObstructionWitness, spec: SurfaceSpec,
         lhs = model.evaluate(model.compose(a, b))
         rhs = model.add_images(model.evaluate(a), model.evaluate(b))
         assert lhs == rhs, (lhs, rhs)
+
+
+SURFGEN = Path(__file__).resolve().parent.parent / "bench" / "surfgen.py"
+
+
+def load_surfgen():
+    """The benchmark's generator, ``bench/surfgen.py``, loaded from its file
+    and not modified."""
+    if "surfgen" in sys.modules:
+        return sys.modules["surfgen"]
+    spec = importlib.util.spec_from_file_location("surfgen", SURFGEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["surfgen"] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -220,6 +220,14 @@ class TestFluxCommand:
             == EXIT_OK
         assert capsys.readouterr().out.strip() == "(1, 0)"
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_theta_without_maximal_ends(self, n, capsys):
+        assert main(["flux", "theta", "--perms", "d=1", "--n", n]) \
+            == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need at least one maximal end (got %s)\n" % n
+
     def test_shift(self, capsys):
         assert main(["flux", "shift", "--spec",
                      "excluded=periodic{N=1,p=3,r=0}"]) == EXIT_OK
@@ -366,6 +374,16 @@ class TestCorpusCommand:
     def test_expectations_nested_too_deep(self, tmp_path, capsys):
         exp = tmp_path / "exp.json"
         exp.write_text("[" * 100000)
+        code = main(["corpus", str(CORPUS), "--expectations", str(exp)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error reading expectations: ")
+        assert err.count("\n") == 1
+
+    def test_expectations_integer_over_the_digit_limit(self, tmp_path,
+                                                        capsys):
+        exp = tmp_path / "exp.json"
+        exp.write_text('{"flute.surf": {"lower": %s}}' % ("9" * 5000))
         code = main(["corpus", str(CORPUS), "--expectations", str(exp)])
         out, err = capsys.readouterr()
         assert code == EXIT_PARSE and out == ""

@@ -1,13 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endcalc.classify import classify
+from endcalc.classify import (
+    Character,
+    GeneratorImage,
+    ObstructionWitness,
+    classify,
+)
 from endcalc.dsl import (
     MAX_DEPTH,
     MAX_INT_DIGITS,
     ParseError,
+    _json,
     emit_report,
     parse,
     parse_perm_literal,
@@ -27,7 +34,9 @@ from endcalc.endspace import (
     planar_tower,
 )
 from endcalc.flux import EndPerm, FiniteExcluded, PeriodicExcluded
-from conftest import random_spec
+from conftest import load_surfgen, random_spec
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 class TestParse:
@@ -390,6 +399,107 @@ class TestEmitReport:
         r = classify(parse("root omega + 1"))
         with pytest.raises(ValueError):
             emit_report(r, "YAML")
+
+
+def _stdlib_json(r, include_witness=True):
+    """The reference: the stdlib encoder on the report's dict."""
+    return json.dumps(report_to_dict(r, include_witness),
+                      sort_keys=True, indent=2) + "\n"
+
+
+def _replaced(record, **changes):
+    return type(record)(*[changes.get(f, getattr(record, f))
+                          for f in record._fields])
+
+
+# strings mixing JSON's escapes, the rest of ASCII and non-ASCII text
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9'
+                                '\u2028\ud800\U0001f600') | st.characters())
+# below the interpreter's 4,300-digit limit on int to str conversion
+_BIG = 10 ** 4299
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-_BIG, _BIG) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150)
+    @given(_JSON_VALUES)
+    def test_matches_the_stdlib(self, value):
+        assert _json(value, "") == json.dumps(value, sort_keys=True,
+                                              indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), {1: "a"}, {"a": [0.0]}, {"a", "b"}, b"x",
+    ])
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            _json(value, "")
+
+
+class TestReportsMatchTheStdlib:
+    """``emit_report(r, "JSON")`` is the stdlib's rendering of
+    ``report_to_dict(r)``, byte for byte."""
+
+    def test_corpus(self):
+        paths = sorted(CORPUS.glob("*.surf"))
+        assert paths
+        for path in paths:
+            r = classify(parse(path.read_text()))
+            assert emit_report(r, "JSON") == _stdlib_json(r), path.name
+            assert (emit_report(r, "JSON", include_witness=False)
+                    == _stdlib_json(r, include_witness=False)), path.name
+
+    def test_generated_surfaces(self):
+        surfgen = load_surfgen()
+        valid = 0
+        for index in range(2000):
+            surface = surfgen.make_surface(7, index)
+            if surface.valid:
+                r = classify(parse(surface.text))
+                assert emit_report(r, "JSON") == _stdlib_json(r), index
+                valid += 1
+        assert valid > 1000
+
+    @pytest.fixture
+    def report(self):
+        return classify(parse("type fl = acc([puncture])\nroot fl\n"
+                              "root acc(genus,[puncture])\n"
+                              "root acc(genus,[])"))
+
+    def test_empty_notes(self, report):
+        r = _replaced(report, notes=())
+        assert emit_report(r, "JSON") == _stdlib_json(r)
+        assert '"notes": []' in emit_report(r, "JSON")
+
+    def test_bare_witness(self, report):
+        witness = ObstructionWitness(
+            0, 0, (), (GeneratorImage("g", "shift", ()),))
+        r = _replaced(report, verdict=_replaced(report.verdict,
+                                                witness=witness))
+        assert emit_report(r, "JSON") == _stdlib_json(r)
+        assert '"characters": []' in emit_report(r, "JSON")
+        assert '"image": []' in emit_report(r, "JSON")
+        witness = ObstructionWitness(1, 0, (Character("PARITY"),), ())
+        r = _replaced(report, verdict=_replaced(report.verdict,
+                                                witness=witness))
+        assert emit_report(r, "JSON") == _stdlib_json(r)
+
+    def test_without_witness(self, report):
+        assert report.verdict.witness is not None
+        assert (emit_report(report, "JSON", include_witness=False)
+                == _stdlib_json(report, include_witness=False))
+
+    @pytest.mark.parametrize("flux_rank", [None, 0, 7])
+    @pytest.mark.parametrize("ab_upper", [None, 0, 12])
+    def test_optional_bounds(self, report, flux_rank, ab_upper):
+        bounds = _replaced(report.bounds, flux_rank=flux_rank,
+                           abelianization_upper=ab_upper)
+        r = _replaced(report, bounds=bounds)
+        assert emit_report(r, "JSON") == _stdlib_json(r)
 
 
 class TestLiterals:

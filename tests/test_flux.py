@@ -298,6 +298,11 @@ class TestThetaZ:
         with pytest.raises(ValueError):
             theta_z([IDENTITY], 3)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_maximal_end(self, n):
+        with pytest.raises(ValueError, match="at least one maximal end"):
+            theta_z([], n)
+
 
 class TestThetaTilde:
     DES2 = [ray_swap(2, 0, 1)]

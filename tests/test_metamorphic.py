@@ -8,29 +8,15 @@ more subtree is named by a ``type`` alias.  Surfaces the generator makes
 invalid must be rejected with ``ParseError`` or ``SpecError`` only.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from endcalc.classify import classify
 from endcalc.dsl import ParseError, emit_report, parse
 from endcalc.endspace import SpecError
+from conftest import load_surfgen
 
-SURFGEN = Path(__file__).resolve().parent.parent / "bench" / "surfgen.py"
 SEED = 7
 COUNT = 2500
-
-
-def _surfgen():
-    if "surfgen" in sys.modules:
-        return sys.modules["surfgen"]
-    spec = importlib.util.spec_from_file_location("surfgen", SURFGEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["surfgen"] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _lines(text: str, head: str) -> int:
@@ -38,7 +24,7 @@ def _lines(text: str, head: str) -> int:
 
 
 def test_variants_report_identically():
-    surfgen = _surfgen()
+    surfgen = load_surfgen()
     rewrites = dict.fromkeys(("shuffle", "split", "sub", "alias"), 0)
     invalid = 0
     for index in range(COUNT):

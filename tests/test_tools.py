@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,3 +29,13 @@ PINNED = ("valid=78 sha256="
 def test_report_digest_is_stable():
     assert _digest("0") == PINNED
     assert _digest("1") == PINNED  # reports do not depend on hash order
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_report_digest_rejects_an_empty_range(count):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digest.py"),
+         "--count", count],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "--count must be at least 1" in out.stderr

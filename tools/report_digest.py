@@ -62,6 +62,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--count", type=int, default=4000,
                    help="surfaces per seed, indices 0 to count - 1")
     args = p.parse_args(argv)
+    if args.count < 1:
+        # an empty range digests to the same line on any two trees
+        p.error("--count must be at least 1, got %d" % args.count)
     valid, hexdigest = digest(args.seeds, args.count)
     print("valid=%d sha256=%s" % (valid, hexdigest))
     return 0
