@@ -159,15 +159,20 @@ class TNGVerdict(Record):
     _defaults = {"witness": None, "notes": ()}
 
 
+def _fluxes(s: SurfaceSpec, a: EndType, b: EndType) -> List[Character]:
+    """The FLUX characters of the pair (a, b), one per shared predecessor."""
+    zs = sorted(e_cp(s, a, b), key=sort_key)
+    pair = (format_type(a), format_type(b)) if zs else None
+    return [Character("FLUX", z=format_type(z), pair=pair) for z in zs]
+
+
 def _flux_characters(s: SurfaceSpec) -> List[Character]:
     """Cluster-flux characters: shared predecessors, then handles."""
     out = []
     types = sorted(s.root_types(), key=sort_key)
     for i, a in enumerate(types):
         for b in types[i + 1:]:
-            for z in sorted(e_cp(s, a, b), key=sort_key):
-                out.append(Character("FLUX", z=format_type(z),
-                                     pair=(format_type(a), format_type(b))))
+            out.extend(_fluxes(s, a, b))
     g0 = sorted((t for t in types if t.direct_genus), key=sort_key)
     for i, a in enumerate(g0):
         for b in g0[i + 1:]:
@@ -240,13 +245,6 @@ def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
     return None
 
 
-def _double_flux_witness(s: SurfaceSpec, u: EndType,
-                         p: EndType) -> ObstructionWitness:
-    pair = (format_type(u), format_type(p))
-    return _assemble_witness(Character("FLUX", z=format_type(z), pair=pair)
-                             for z in sorted(e_cp(s, u, p), key=sort_key)[:2])
-
-
 # ---------------------------------------------------------------------------
 # The verdict rule table
 # ---------------------------------------------------------------------------
@@ -303,9 +301,10 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "end composed with a half-space translation",))
     for u, _ in finite_roots:
         for p in cantor_roots:
-            if len(e_cp(s, u, p)) >= 2:
+            fluxes = _fluxes(s, u, p)
+            if len(fluxes) >= 2:
                 return TNGVerdict(Verdict.NO, RULE_DOUBLE_FLUX,
-                                  witness=_double_flux_witness(s, u, p))
+                                  witness=_assemble_witness(fluxes[:2]))
     notes = ["no decision rule applies"]
     if len(s.roots) == 1 and cantor_roots and s.extra_punctures >= 2:
         notes.append("whether a Cantor class with two or more punctures is "

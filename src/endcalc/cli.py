@@ -23,14 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .classify import classify
-from .dsl import (
-    ParseError,
-    emit_report,
-    parse,
-    parse_perm_literal,
-    parse_shift_literal,
-    report_to_dict,
-)
+from .dsl import ParseError, emit_report, parse, report_to_dict
 from .endspace import SpecError
 
 EXIT_OK = 0
@@ -189,14 +182,14 @@ def cmd_flux(args) -> int:
 
     try:
         if args.flux_command == "phi":
-            perm = parse_perm_literal(args.perm)
+            perm = flux.parse_perm_literal(args.perm)
             print(flux.phi(perm, args.cut))
         elif args.flux_command == "theta":
-            perms = [parse_perm_literal(t)
+            perms = [flux.parse_perm_literal(t)
                      for t in args.perms.split(";") if t.strip()]
             print(flux.theta_z(perms, args.n))
         elif args.flux_command == "shift":
-            spec = parse_shift_literal(args.spec)
+            spec = flux.parse_shift_literal(args.spec)
             kind = flux.classify_shift(spec)
             print("kind: %s" % kind.value)
             if kind is not flux.ShiftKind.FULL:
@@ -205,7 +198,7 @@ def cmd_flux(args) -> int:
                 print("normalizes: %s"
                       % flux.verify_normalization(spec, t, args.window))
         elif args.flux_command == "swindle":
-            perm = parse_perm_literal(args.perm)
+            perm = flux.parse_perm_literal(args.perm)
             print(flux.swindle_check(perm, args.k, args.window))
         else:
             return _run_suite(args)

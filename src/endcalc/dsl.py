@@ -1,4 +1,4 @@
-"""Surface description language, report serialization, flux literals.
+"""Surface description language and report serialization.
 
 Grammar (whitespace insensitive, ``#`` line comments)::
 
@@ -9,9 +9,10 @@ Grammar (whitespace insensitive, ``#`` line comments)::
               | "punctures" INT
               | "genus" INT
     typeexpr := NAME | "puncture"
-              | "acc" "(" ["genus" ","] "[" [typeexpr ("," typeexpr)*] "]" ")"
-              | "cantor" "(" ["genus"] ["," "[" [typeexpr ("," typeexpr)*] "]"] ")"
+              | "acc" "(" ("genus" ","?)? children ")"
+              | "cantor" "(" ("genus" ("," children)? | children)? ")"
               | ordinal
+    children := "[" (typeexpr ("," typeexpr)*)? "]"
     ordinal  := "omega" ("^" INT)? ("*" INT)? "+" INT
 
 The ordinal shorthand ``omega^k * n + 1`` denotes n maximal ends of the
@@ -114,23 +115,15 @@ class _Parser:
         self.defs: Dict[str, EndType] = {}
         self.nesting = 0  # open child lists
 
-    def peek(self) -> str:
-        """Text of the current token, "" at the end of input."""
-        return self.texts[self.pos]
-
-    def kind(self, i: int) -> str:
-        """NAME, INT, EOF, or the one character of any other token."""
-        t = self.texts[i]
-        return _KINDS.get(t[:1], t)
-
-    def next(self) -> int:
-        """Consume the current token, unless it ends the input; its index."""
-        i = self.pos
-        if self.texts[i]:
+    def take(self, text: str) -> bool:
+        """Consume the current token if its text is ``text``."""
+        if self.texts[self.pos] == text:
             self.pos += 1
-        return i
+            return True
+        return False
 
     def expect(self, kind: str, what: str) -> int:
+        """Consume a token of kind NAME, INT or one character; its index."""
         i = self.pos
         t = self.texts[i]
         if _KINDS.get(t[:1], t) != kind:
@@ -145,16 +138,14 @@ class _Parser:
                              % MAX_INT_DIGITS, i)
         return int(self.texts[i])
 
-    def span(self, i: int) -> SourceSpan:
-        """Where token i lies, found by scanning the text again."""
-        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
-        start, end = m.span(1)
-        return SourceSpan(self.text.count("\n", 0, start) + 1,
-                          start - self.text.rfind("\n", 0, start), start, end)
-
     def error(self, message: str, i: int,
               expected: Optional[str] = None) -> ParseError:
-        return ParseError(message, self.span(i), expected)
+        """A ParseError at token i, located by scanning the text again."""
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
+        start, end = m.span(1)
+        span = SourceSpan(self.text.count("\n", 0, start) + 1,
+                          start - self.text.rfind("\n", 0, start), start, end)
+        return ParseError(message, span, expected)
 
     # -- statements ---------------------------------------------------------
 
@@ -163,9 +154,10 @@ class _Parser:
         subs: List[Tuple[EndType, int]] = []
         punctures = 0
         genus = 0
-        while self.peek():
-            i = self.next()
+        while self.texts[self.pos]:
+            i = self.pos
             word = self.texts[i]
+            self.pos += 1
             if word == "type":
                 n = self.expect("NAME", "type name")
                 name = self.texts[n]
@@ -179,10 +171,8 @@ class _Parser:
             elif word == "root":
                 tree, count, extra = self.parse_typeexpr()
                 mult: object = count
-                if self.peek() == "*":
-                    self.next()
-                    if self.peek() == "cantor":
-                        self.next()
+                if self.take("*"):
+                    if self.take("cantor"):
                         mult = CANTOR
                     else:
                         mult = count * self.expect_int(
@@ -197,7 +187,7 @@ class _Parser:
                 punctures += self.expect_int("a puncture count")
             elif word == "genus":
                 genus += self.expect_int("a genus count")
-            elif self.kind(i) != "NAME":
+            elif _KINDS.get(word[:1]) != "NAME":
                 raise self.error("unexpected %r" % word, i,
                                  expected="a statement keyword")
             else:
@@ -230,39 +220,30 @@ class _Parser:
             tree = PUNCTURE
         elif word in self.defs:
             tree = self.defs[word]
-        elif self.kind(i) != "NAME":
+        elif _KINDS.get(word[:1]) != "NAME":
             raise self.error("unexpected %r" % word, i,
                              expected="a type expression")
         else:
             raise self.error(
                 "unknown type name %r (types must be defined before use, "
                 "so definitions cannot recurse)" % word, i)
-        self.next()
+        self.pos += 1
         return tree, 1, 0
 
     def parse_node(self, head: str) -> EndType:
-        head_i = self.next()  # acc | cantor
+        head_i = self.pos  # acc | cantor
+        self.pos += 1
         self.expect("(", "'('")
-        genus = False
-        children: List[EndType] = []
-        saw_children = False
-        if self.peek() == "genus":
-            self.next()
-            genus = True
-            if self.peek() == ",":
-                self.next()
-                saw_children = True
-                children = self.parse_child_list()
-        elif self.peek() == "[":
-            saw_children = True
+        genus = self.take("genus")
+        # a child list follows "genus ," or "[", but not "genus [" in cantor
+        if (genus and self.take(",") or self.texts[self.pos] == "["
+                and (head == "acc" or not genus)):
             children = self.parse_child_list()
-        if head == "acc" and not saw_children:
-            if self.peek() == "[":
-                children = self.parse_child_list()
-            else:
-                raise self.error("an accumulation node needs a child list "
-                                 "(possibly empty)", self.pos,
-                                 expected="'['")
+        elif head == "acc":
+            raise self.error("an accumulation node needs a child list "
+                             "(possibly empty)", self.pos, expected="'['")
+        else:
+            children = []
         self.expect(")", "')'")
         t = EndType(genus, head == "cantor", frozenset(children))
         if t.depth() > MAX_DEPTH:
@@ -276,24 +257,24 @@ class _Parser:
             raise self.error("child lists nested deeper than %d" % MAX_DEPTH,
                              bracket)
         children: List[EndType] = []
-        if self.peek() != "]":
+        if self.texts[self.pos] != "]":
             while True:
                 children.append(self._plain(self.parse_typeexpr(), self.pos,
                                             "a child type"))
-                if self.peek() != ",":
+                if not self.take(","):
                     break
-                self.next()
         self.expect("]", "']'")
         self.nesting -= 1
         return children
 
     def parse_ordinal(self) -> _Parsed:
-        omega = self.next()
+        omega = self.pos
+        self.pos += 1
         k = 1
-        if self.peek() == "^":
-            self.next()
+        if self.take("^"):
             i = self.pos
-            k = self.expect_int("an exponent") if self.kind(i) == "INT" else 0
+            k = (self.expect_int("an exponent")
+                 if _KINDS.get(self.texts[i][:1]) == "INT" else 0)
             if k < 1:
                 raise self.error(
                     "exponent must be a literal positive integer "
@@ -302,18 +283,16 @@ class _Parser:
                 raise self.error("exponent above the depth limit %d"
                                  % MAX_DEPTH, i)
         count = 1
-        if self.peek() == "*":
-            self.next()
+        if self.take("*"):
             i = self.pos
             count = self.expect_int("a repetition count")
             if count < 1:
                 raise self.error("repetition count must be positive", i)
-        if self.peek() != "+":
+        if not self.take("+"):
             raise self.error(
                 "ordinal shorthand must end in '+ 1': end spaces are "
                 "compact, so the accumulation point belongs to the "
                 "surface", self.pos, expected="'+'")
-        self.next()
         tail = self.expect_int("an integer (at least 1)")
         if tail < 1:
             raise self.error("the compactification point is mandatory: "
@@ -493,60 +472,3 @@ def _witness_text(w: ObstructionWitness) -> List[str]:
     for g in w.generators:
         lines.append("  generator %s -> %s" % (g.name, list(g.image)))
     return lines
-
-
-# ---------------------------------------------------------------------------
-# Literal syntax for permutation and shift models
-# ---------------------------------------------------------------------------
-
-_PERM_RE = re.compile(
-    r"^\s*(?:perm\s+)?d\s*=\s*(-?\d+)"
-    r"(?:\s+table\s*=\s*\{([^}]*)\})?\s*$")
-_SHIFT_FINITE_RE = re.compile(
-    r"^\s*(?:shift\s+)?excluded\s*=\s*finite\s*\{([^}]*)\}\s*$")
-_SHIFT_PERIODIC_RE = re.compile(
-    r"^\s*(?:shift\s+)?excluded\s*=\s*periodic\s*\{\s*N\s*=\s*(-?\d+)\s*,"
-    r"\s*p\s*=\s*(\d+)\s*,\s*r\s*=\s*([-\d,\s]*)\}\s*$")
-
-
-def parse_perm_literal(text: str):
-    """``d=<int> table={i:j,...}`` -> EndPerm (the table is optional)."""
-    from .flux import EndPerm
-
-    m = _PERM_RE.match(text)
-    if m is None:
-        raise ValueError("bad permutation literal %r: expected "
-                         "'d=<int> table={i:j,...}'" % text)
-    d = int(m.group(1))
-    table = {}
-    body = m.group(2)
-    if body:
-        for entry in body.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            try:
-                i, j = entry.split(":")
-                table[int(i)] = int(j)
-            except ValueError:
-                raise ValueError("bad table entry %r in %r" % (entry, text))
-    return EndPerm(d, table)
-
-
-def parse_shift_literal(text: str):
-    """``excluded=finite{...}`` or ``excluded=periodic{N=..,p=..,r=..}``."""
-    from .flux import FiniteExcluded, PeriodicExcluded, ShiftSpec
-
-    m = _SHIFT_FINITE_RE.match(text)
-    if m is not None:
-        body = m.group(1).strip()
-        vals = tuple(int(v) for v in body.split(",") if v.strip()) if body else ()
-        return ShiftSpec(FiniteExcluded(vals))
-    m = _SHIFT_PERIODIC_RE.match(text)
-    if m is not None:
-        residues = tuple(int(v) for v in m.group(3).split(",") if v.strip())
-        return ShiftSpec(PeriodicExcluded(int(m.group(1)), int(m.group(2)),
-                                          residues))
-    raise ValueError("bad shift literal %r: expected 'excluded=finite{...}' "
-                     "or 'excluded=periodic{N=<int>,p=<int>,r=<ints>}'"
-                     % text)

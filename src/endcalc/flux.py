@@ -14,6 +14,10 @@ Multi-ray models (:class:`MultiEndPerm`) cover mapping classes that
 permute same-type maximal ends; :func:`theta_tilde` computes the parity
 pair used to obstruct normal generation in that case.
 
+:func:`parse_perm_literal` and :func:`parse_shift_literal` read the
+literal syntax of the ``endcalc flux`` commands, ``d=1 table={0:1}`` and
+``excluded=finite{0,5}`` or ``excluded=periodic{N=1,p=3,r=0}``.
+
 Orientation convention: for a cut at c the left side is {i < c} and the
 flux counts left-to-right crossings positively.  Flipping the cut's
 orientation negates the flux.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from enum import Enum
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -121,6 +126,33 @@ def phi(f: EndPerm, c: int = 0) -> int:
     return left_right - right_left
 
 
+_PERM_RE = re.compile(
+    r"^\s*(?:perm\s+)?d\s*=\s*(-?\d+)"
+    r"(?:\s+table\s*=\s*\{([^}]*)\})?\s*$")
+
+
+def parse_perm_literal(text: str) -> EndPerm:
+    """``d=<int> table={i:j,...}`` -> EndPerm (the table is optional)."""
+    m = _PERM_RE.match(text)
+    if m is None:
+        raise ValueError("bad permutation literal %r: expected "
+                         "'d=<int> table={i:j,...}'" % text)
+    d = int(m.group(1))
+    table = {}
+    body = m.group(2)
+    if body:
+        for entry in body.split(","):
+            entry = entry.strip()
+            if not entry:
+                continue
+            try:
+                i, j = entry.split(":")
+                table[int(i)] = int(j)
+            except ValueError:
+                raise ValueError("bad table entry %r in %r" % (entry, text))
+    return EndPerm(d, table)
+
+
 # ---------------------------------------------------------------------------
 # Shift maps with skipped indices
 # ---------------------------------------------------------------------------
@@ -189,6 +221,30 @@ class ShiftSpec(Record):
         while self.excluded.contains(j):
             j += 1
         return j
+
+
+_SHIFT_FINITE_RE = re.compile(
+    r"^\s*(?:shift\s+)?excluded\s*=\s*finite\s*\{([^}]*)\}\s*$")
+_SHIFT_PERIODIC_RE = re.compile(
+    r"^\s*(?:shift\s+)?excluded\s*=\s*periodic\s*\{\s*N\s*=\s*(-?\d+)\s*,"
+    r"\s*p\s*=\s*(\d+)\s*,\s*r\s*=\s*([-\d,\s]*)\}\s*$")
+
+
+def parse_shift_literal(text: str) -> ShiftSpec:
+    """``excluded=finite{...}`` or ``excluded=periodic{N=..,p=..,r=..}``."""
+    m = _SHIFT_FINITE_RE.match(text)
+    if m is not None:
+        body = m.group(1).strip()
+        vals = tuple(int(v) for v in body.split(",") if v.strip()) if body else ()
+        return ShiftSpec(FiniteExcluded(vals))
+    m = _SHIFT_PERIODIC_RE.match(text)
+    if m is not None:
+        residues = tuple(int(v) for v in m.group(3).split(",") if v.strip())
+        return ShiftSpec(PeriodicExcluded(int(m.group(1)), int(m.group(2)),
+                                          residues))
+    raise ValueError("bad shift literal %r: expected 'excluded=finite{...}' "
+                     "or 'excluded=periodic{N=<int>,p=<int>,r=<ints>}'"
+                     % text)
 
 
 def classify_shift(s: ShiftSpec) -> ShiftKind:
@@ -501,9 +557,7 @@ def mcompose(f: MultiEndPerm, g: MultiEndPerm) -> MultiEndPerm:
 
 def minvert(f: MultiEndPerm) -> MultiEndPerm:
     n = f.n
-    rho_inv = [0] * n
-    for r, t in enumerate(f.rho):
-        rho_inv[t] = r
+    rho_inv = _perm_inverse(f.rho)
     offsets = tuple(-f.offsets[rho_inv[t]] for t in range(n))
     tables: List[Dict[int, RayEnd]] = [{} for _ in range(n)]
     for r in range(n):

@@ -137,17 +137,15 @@ def enumerate_trees(max_nodes: int,
         return by_nodes[n]
 
     def _child_sets(budget: int, slots: int) -> Iterator[FrozenSet[EndType]]:
-        seen = set()
+        # the pool holds distinct trees and rec picks strictly increasing
+        # indices, so no set it yields repeats a tree or an earlier set
         pool: list = []
         for m in range(1, budget + 1):
             pool.extend((m, t) for t in trees_with(m))
 
         def rec(start: int, remaining: int, left: int, acc: tuple):
             if acc and remaining == 0:
-                fs = frozenset(t for _, t in acc)
-                if len(fs) == len(acc) and fs not in seen:
-                    seen.add(fs)
-                    yield fs
+                yield frozenset(acc)
                 return
             if left == 0 or remaining == 0:
                 return
@@ -155,7 +153,7 @@ def enumerate_trees(max_nodes: int,
                 m, t = pool[i]
                 if m > remaining:
                     continue
-                yield from rec(i + 1, remaining - m, left - 1, acc + ((m, t),))
+                yield from rec(i + 1, remaining - m, left - 1, acc + (t,))
 
         yield from rec(0, budget, slots, ())
 

@@ -310,6 +310,13 @@ def small_tree_sweep() -> Tuple[list, list]:
     return universe, disagreements
 
 
+@pytest.fixture(scope="session")
+def swindle_errors() -> List[str]:
+    """``suite_swindle(200)``: every permutation of the exhaustive small
+    supports, checked once for the flux tests and acceptance criterion 5."""
+    return flux.suite_swindle(200)
+
+
 ACCEPTANCE_RESULTS: List[str] = []
 
 

@@ -19,7 +19,6 @@ from endcalc.flux import (
     ray_swap,
     suite_normalize,
     suite_phi,
-    suite_swindle,
     suite_theta,
     theta_tilde,
 )
@@ -124,8 +123,8 @@ def test_normalization_suite():
 
 
 @criterion(5, "swindle identity, exhaustive small supports")
-def test_swindle_suite():
-    assert suite_swindle(window=200) == []
+def test_swindle_suite(swindle_errors):
+    assert swindle_errors == []
 
 
 @criterion(6, "parity pair: homomorphism, independence, ladder value")

@@ -17,8 +17,6 @@ from endcalc.dsl import (
     _json,
     emit_report,
     parse,
-    parse_perm_literal,
-    parse_shift_literal,
     report_to_dict,
     spec_to_text,
 )
@@ -33,7 +31,13 @@ from endcalc.endspace import (
     node,
     planar_tower,
 )
-from endcalc.flux import EndPerm, FiniteExcluded, PeriodicExcluded
+from endcalc.flux import (
+    EndPerm,
+    FiniteExcluded,
+    PeriodicExcluded,
+    parse_perm_literal,
+    parse_shift_literal,
+)
 from conftest import load_surfgen, random_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -80,6 +84,15 @@ class TestParse:
         assert t.direct_genus and t.self_accumulating
         t = parse("root cantor([puncture])").roots[0][0]
         assert t.children and t.self_accumulating
+
+    @pytest.mark.parametrize("expr, canonical", [
+        ("cantor([puncture])", "cantor([puncture])"),
+        ("cantor(genus, [puncture])", "cantor(genus,[puncture])"),
+        ("acc(genus [puncture])", "acc(genus,[puncture])"),
+        ("acc(genus, [puncture])", "acc(genus,[puncture])"),
+    ])
+    def test_child_list_forms(self, expr, canonical):
+        assert spec_to_text(parse("root " + expr)) == "root %s\n" % canonical
 
     def test_root_star_cantor(self):
         s = parse("root acc([puncture]) * cantor")
@@ -262,6 +275,10 @@ _PINNED_ERRORS = [
      "column 16 (expected '[')", (1, 16, 15, 16)),
     ("type a = puncture\ntype a = puncture",
      "type 'a' already defined at line 2, column 6", (2, 6, 23, 24)),
+    ("root cantor(, [puncture])",
+     "unexpected ',' at line 1, column 13 (expected ')')", (1, 13, 12, 13)),
+    ("root cantor(genus [puncture])",
+     "unexpected '[' at line 1, column 19 (expected ')')", (1, 19, 18, 19)),
 ]
 
 
@@ -273,7 +290,8 @@ class TestTokens:
         "unclosed", "unclosed-after-comment", "exponent-limit",
         "nesting-limit", "digit-limit", "plain-child", "plain-sub",
         "repetition", "compactification", "genus-without-list",
-        "already-defined"])
+        "already-defined", "cantor-list-after-comma",
+        "cantor-genus-list-without-comma"])
     def test_pinned_errors(self, text, message, span):
         with pytest.raises(ParseError) as exc:
             parse(text)

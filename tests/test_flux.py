@@ -35,7 +35,6 @@ from endcalc.flux import (
     repetition_map,
     suite_normalize,
     suite_phi,
-    suite_swindle,
     suite_theta,
     swindle_check,
     theta_tilde,
@@ -223,8 +222,8 @@ class TestSwindle:
             with pytest.raises(ValueError, match="k must be at least 1"):
                 swindle_check(f, k, 10)
 
-    def test_suite_exhaustive(self):
-        assert suite_swindle(200) == []
+    def test_suite_exhaustive(self, swindle_errors):
+        assert swindle_errors == []
 
 
 class TestMultiEndPerm:

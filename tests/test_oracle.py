@@ -13,6 +13,7 @@ from endcalc.endspace import (
 )
 from endcalc.oracle import (
     OracleScaleError,
+    enumerate_trees,
     oracle_equivalent,
     oracle_preceq,
 )
@@ -56,6 +57,13 @@ class TestOracleAgreement:
         universe, disagreements = small_tree_sweep
         assert len(universe) > 500
         assert disagreements == []
+
+    @pytest.mark.parametrize("max_nodes, count", [(3, 108), (4, 732),
+                                                  (5, 4476)])
+    def test_enumerate_trees_count(self, max_nodes, count):
+        trees = enumerate_trees(max_nodes, 3, 3)
+        assert len(trees) == count
+        assert len(set(trees)) == count
 
     def test_random_depth3_trees(self, rng):
         for _ in range(3000):
