@@ -221,7 +221,7 @@ class _Parser:
         elif word in self.defs:
             tree = self.defs[word]
         elif _KINDS.get(word[:1]) != "NAME":
-            raise self.error("unexpected %r" % word, i,
+            raise self.error("unexpected %r" % (word or "end of input"), i,
                              expected="a type expression")
         else:
             raise self.error(

@@ -7,6 +7,12 @@ families of raw trees, over every position of the target's neighborhood
 tree.  Agreement with the production order is a differential test of the
 canonicalization rules.
 
+Two neighborhoods match when their roots carry the same flags
+(:func:`_flags`) and their accumulation families recur on each other
+(:func:`_same_families`).  The flags are compared first, outside the memo,
+and each tree's positions are grouped by them once, so a search tries only
+candidates whose flags agree.
+
 Scale guard: inputs beyond depth 4 or branching 4 are rejected; the
 search is exponential and is only meant for small trees.
 """
@@ -15,25 +21,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .endspace import EndType
 
 ORACLE_MAX_DEPTH = 4
 ORACLE_MAX_CHILDREN = 4
 
+_Flags = Tuple[bool, bool]
+
 
 class OracleScaleError(ValueError):
     pass
-
-
-def _check_scale(t: EndType) -> None:
-    """Raise unless the tree fits the oracle; checked on every call."""
-    if t.depth() > ORACLE_MAX_DEPTH:
-        raise OracleScaleError("tree exceeds oracle depth %d" % ORACLE_MAX_DEPTH)
-    if _width(t) > ORACLE_MAX_CHILDREN:
-        raise OracleScaleError(
-            "node exceeds oracle branching %d" % ORACLE_MAX_CHILDREN)
 
 
 # The helpers below are memoized per node: nodes are interned, so each
@@ -41,52 +40,82 @@ def _check_scale(t: EndType) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _width(t: EndType) -> int:
-    """Largest number of children at any node of the tree."""
-    return max([len(t.children), *map(_width, t.children)])
+def _check_scale(t: EndType) -> None:
+    """Raise unless the tree fits the oracle.  ``lru_cache`` stores no
+    exception, so an oversized tree raises on every call."""
+    if t.depth() > ORACLE_MAX_DEPTH:
+        raise OracleScaleError(
+            "tree exceeds oracle depth %d" % ORACLE_MAX_DEPTH)
+    if len(t.children) > ORACLE_MAX_CHILDREN:
+        raise OracleScaleError(
+            "node exceeds oracle branching %d" % ORACLE_MAX_CHILDREN)
+    for c in t.children:
+        _check_scale(c)
 
 
 @functools.lru_cache(maxsize=None)
-def _genus_accumulates(t: EndType) -> bool:
-    return t.direct_genus or any(_genus_accumulates(c) for c in t.children)
+def _flags(t: EndType) -> _Flags:
+    """(self-accumulation, genus accumulation) at the root.
+
+    Two neighborhoods can only match if these agree.
+    """
+    return (t.self_accumulating,
+            t.direct_genus or any(_flags(c)[1] for c in t.children))
 
 
 @functools.lru_cache(maxsize=None)
-def _positions(t: EndType) -> Tuple[EndType, ...]:
-    """Every node of the tree, as a raw subtree (root included), in preorder."""
-    return (t,) + _cofinal(t)
+def _nodes(t: EndType) -> Tuple[EndType, ...]:
+    """Every distinct subtree of the tree, the root first."""
+    return tuple(dict.fromkeys(
+        itertools.chain((t,), *map(_nodes, t.children))))
+
+
+def _by_flags(trees: Tuple[EndType, ...]) -> Dict[_Flags, Tuple[EndType, ...]]:
+    return {k: tuple(g) for k, g in
+            itertools.groupby(sorted(trees, key=_flags), _flags)}
 
 
 @functools.lru_cache(maxsize=None)
-def _cofinal(t: EndType) -> Tuple[EndType, ...]:
-    """Strict subtrees occurring cofinally near the root.
+def _positions(t: EndType) -> Dict[_Flags, Tuple[EndType, ...]]:
+    """Every node of the tree as a raw subtree (root included), by flags."""
+    return _by_flags(_nodes(t))
+
+
+@functools.lru_cache(maxsize=None)
+def _cofinal(t: EndType) -> Dict[_Flags, Tuple[EndType, ...]]:
+    """Strict subtrees occurring cofinally near the root, by flags.
 
     Every strict descendant recurs infinitely often: it sits inside a
     child family, of which every neighborhood holds infinitely many
-    copies.  The root's own class is never listed here; self-accumulation
-    is compared flag-to-flag in :func:`_same_neighborhood`.
+    copies.  A strict subtree is shallower than the root, so it is never
+    the root itself; the root's own self-accumulation is one of the flags
+    that the callers of :func:`_same_families` compare.
     """
-    return tuple(itertools.chain.from_iterable(map(_positions, t.children)))
+    return _by_flags(_nodes(t)[1:])
 
 
 @functools.lru_cache(maxsize=None)
-def _same_neighborhood(a: EndType, b: EndType) -> bool:
-    """Neighborhoods of a and b carry copies of each other, root to root.
+def _same_families(a: EndType, b: EndType) -> bool:
+    """Accumulation families of a and b recur on each other, root to root.
 
-    Requires equal self-accumulation and equal genus accumulation at the
-    roots, and each accumulation family of either side to recur cofinally
-    on the other.  Recursion descends strictly (family members against
-    cofinal subtrees), so no fixpoint choice arises.
+    Callers have already found ``_flags(a) == _flags(b)``; together the
+    two conditions say that the neighborhoods of a and b carry copies of
+    each other.  Each family member is matched only against cofinal
+    subtrees with its own flags.  Recursion descends strictly (family
+    members against cofinal subtrees), so no fixpoint choice arises.
     """
-    if (a.self_accumulating != b.self_accumulating
-            or _genus_accumulates(a) != _genus_accumulates(b)):
-        return False
     cof_a, cof_b = _cofinal(a), _cofinal(b)
     for c in b.children:
-        if not any(_same_neighborhood(q, c) for q in cof_a):
+        for q in cof_a.get(_flags(c), ()):
+            if _same_families(q, c):
+                break
+        else:
             return False
     for d in a.children:
-        if not any(_same_neighborhood(d, q) for q in cof_b):
+        for q in cof_b.get(_flags(d), ()):
+            if _same_families(d, q):
+                break
+        else:
             return False
     return True
 
@@ -100,13 +129,16 @@ def oracle_preceq(y: EndType, x: EndType) -> bool:
     """
     _check_scale(y)
     _check_scale(x)
-    return any(_same_neighborhood(y, p) for p in _positions(x))
+    for p in _positions(x).get(_flags(y), ()):
+        if _same_families(y, p):
+            return True
+    return False
 
 
 def oracle_equivalent(y: EndType, x: EndType) -> bool:
     _check_scale(y)
     _check_scale(x)
-    return _same_neighborhood(y, x)
+    return _flags(y) == _flags(x) and _same_families(y, x)
 
 
 def enumerate_trees(max_nodes: int,

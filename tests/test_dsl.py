@@ -244,10 +244,12 @@ _PINNED_ERRORS = [
      "accumulation point belongs to the surface at line 1, column 14 "
      "(expected '+')", (1, 14, 13, 13)),
     ("root acc([",
-     "unexpected '' at line 1, column 11 (expected a type expression)",
+     "unexpected 'end of input' at line 1, column 11 "
+     "(expected a type expression)",
      (1, 11, 10, 10)),
     ("root omega + 1  # ok\nroot acc([ # unclosed\n",
-     "unexpected '' at line 3, column 1 (expected a type expression)",
+     "unexpected 'end of input' at line 3, column 1 "
+     "(expected a type expression)",
      (3, 1, 43, 43)),
     ("root omega^257 + 1",
      "exponent above the depth limit 256 at line 1, column 12",

@@ -1,5 +1,7 @@
 """Differential tests: the production preorder against the search oracle."""
 
+import itertools
+
 import pytest
 
 from endcalc.endspace import (
@@ -21,6 +23,48 @@ from conftest import random_tree
 
 
 FLUTE = flute()
+
+
+# The oracle's relation in its first, direct form: the flag test inside the
+# recursion, every position tried in turn, nothing memoized.  The oracle
+# must decide exactly this relation, only faster.
+
+def _ref_genus(t):
+    return t.direct_genus or any(_ref_genus(c) for c in t.children)
+
+
+def _ref_positions(t):
+    return (t,) + _ref_cofinal(t)
+
+
+def _ref_cofinal(t):
+    return tuple(p for c in t.children for p in _ref_positions(c))
+
+
+def _ref_same(a, b):
+    if (a.self_accumulating != b.self_accumulating
+            or _ref_genus(a) != _ref_genus(b)):
+        return False
+    cof_a, cof_b = _ref_cofinal(a), _ref_cofinal(b)
+    return (all(any(_ref_same(q, c) for q in cof_a) for c in b.children)
+            and all(any(_ref_same(d, q) for q in cof_b) for d in a.children))
+
+
+def _ref_preceq(y, x):
+    return any(_ref_same(y, p) for p in _ref_positions(x))
+
+
+def _subtrees(t):
+    yield t
+    for c in t.children:
+        yield from _subtrees(c)
+
+
+def _with_subtrees(trees):
+    """The trees and all their subtrees, without repeats: a sample in which
+    many pairs are related, since a subtree precedes its tree."""
+    return list(dict.fromkeys(itertools.chain.from_iterable(
+        map(_subtrees, trees))))
 
 
 class TestOracleExamples:
@@ -50,6 +94,11 @@ class TestOracleExamples:
         for _ in range(2):
             with pytest.raises(OracleScaleError):
                 oracle_preceq(PUNCTURE, five)
+        for _ in range(2):
+            with pytest.raises(OracleScaleError):
+                oracle_equivalent(deep, deep)
+            with pytest.raises(OracleScaleError):
+                oracle_equivalent(PUNCTURE, five)
 
 
 class TestOracleAgreement:
@@ -89,3 +138,34 @@ class TestOracleAgreement:
         assert not oracle_equivalent(stack, CANTOR_LEAF)
         assert oracle_preceq(CANTOR_LEAF, stack)
         assert not oracle_preceq(stack, CANTOR_LEAF)
+
+
+@pytest.fixture(scope="module")
+def universe_5():
+    return enumerate_trees(5, 3, 3)
+
+
+class TestOracleSelfChecks:
+    def test_matches_direct_definition_on_5_node_pairs(self, rng,
+                                                       universe_5):
+        pairs = [(rng.choice(universe_5), rng.choice(universe_5))
+                 for _ in range(5000)]
+        pairs += itertools.product(
+            _with_subtrees(rng.sample(universe_5, 45)), repeat=2)
+        for y, x in pairs:
+            assert oracle_preceq(y, x) == _ref_preceq(y, x), (y, x)
+            assert oracle_equivalent(y, x) == _ref_same(y, x), (y, x)
+
+    def test_transitive_on_5_node_triples(self, rng, universe_5):
+        # every triple of distinct sample trees: y <= x and x <= w give y <= w
+        sample = _with_subtrees(rng.sample(universe_5, 150))
+        below = {x: [y for y in sample if y is not x and oracle_preceq(y, x)]
+                 for x in sample}
+        chains = 0
+        for x in sample:
+            for w in sample:
+                if x is not w and oracle_preceq(x, w):
+                    for y in below[x]:
+                        assert oracle_preceq(y, w), (y, x, w)
+                        chains += 1
+        assert chains > 1000
