@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .endspace import (
     CANTOR,
@@ -159,89 +159,66 @@ class TNGVerdict(Record):
     _defaults = {"witness": None, "notes": ()}
 
 
-def _fluxes(s: SurfaceSpec, a: EndType, b: EndType) -> List[Character]:
-    """The FLUX characters of the pair (a, b), one per shared predecessor."""
+def _fluxes(s: SurfaceSpec, a: EndType, b: EndType,
+            kind: str = "FLUX") -> List[Character]:
+    """The FLUX (or FLUX_MOD2) characters of the pair (a, b), one per
+    shared predecessor."""
     zs = sorted(e_cp(s, a, b), key=sort_key)
     pair = (format_type(a), format_type(b)) if zs else None
-    return [Character("FLUX", z=format_type(z), pair=pair) for z in zs]
-
-
-def _flux_characters(s: SurfaceSpec) -> List[Character]:
-    """Cluster-flux characters: shared predecessors, then handles."""
-    out = []
-    types = sorted(s.root_types(), key=sort_key)
-    for i, a in enumerate(types):
-        for b in types[i + 1:]:
-            out.extend(_fluxes(s, a, b))
-    g0 = sorted((t for t in types if t.direct_genus), key=sort_key)
-    for i, a in enumerate(g0):
-        for b in g0[i + 1:]:
-            out.append(Character("FLUX", z="handle",
-                                 pair=(format_type(a), format_type(b))))
-    return out
-
-
-def _parity_characters(s: SurfaceSpec) -> List[Character]:
-    out = [Character("PARITY", maximal_type=format_type(t))
-           for t, m in s.roots if m is not CANTOR and m >= 2]
-    if s.extra_punctures >= 2:
-        out.append(Character("PARITY", maximal_type="puncture"))
-    return out
-
-
-def _mod2_pairs(s: SurfaceSpec) -> List[Tuple[Character, Character]]:
-    """(FLUX_MOD2, PARITY) pairs available for repeated classes."""
-    out = []
-    for t, m in s.roots:
-        if m is CANTOR or m < 2:
-            continue
-        tn = format_type(t)
-        zs = [format_type(z) for z in sorted(e_cp(s, t, t), key=sort_key)]
-        if HANDLE in immediate_predecessors(t):
-            zs.append("handle")
-        out.extend((Character("FLUX_MOD2", z=zn, pair=(tn, tn)),
-                    Character("PARITY", maximal_type=tn)) for zn in zs)
-    return out
-
-
-def _generator(c: Character, image: Tuple[int, ...]) -> GeneratorImage:
-    """The generator moving one unit across character c, with its image."""
-    if c.kind == "PARITY":
-        return GeneratorImage("half_twist[%s]" % c.maximal_type, "half_twist",
-                              image)
-    a, b = c.pair
-    if c.z == "handle":
-        return GeneratorImage("handle_shift[%s->%s]" % (a, b), "handle_shift",
-                              image)
-    return GeneratorImage("shift[%s:%s->%s]" % (c.z, a, b), "shift", image)
+    return [Character(kind, z=format_type(z), pair=pair) for z in zs]
 
 
 def _assemble_witness(chars) -> ObstructionWitness:
-    chars = tuple(chars)
-    free = sum(1 for c in chars if c.kind == "FLUX")
-    gens = tuple(_generator(c, tuple(int(j == i) for j in range(len(chars))))
-                 for i, c in enumerate(chars))
-    return ObstructionWitness(free, len(chars) - free, chars, gens)
+    """The witness on chars; generator i moves one unit across character i."""
+    gens = []
+    for i, c in enumerate(chars):
+        if c.kind == "PARITY":
+            kind, name = "half_twist", "half_twist[%s]" % c.maximal_type
+        elif c.z == "handle":
+            kind, name = "handle_shift", "handle_shift[%s->%s]" % c.pair
+        else:
+            kind, name = "shift", "shift[%s:%s->%s]" % (c.z, *c.pair)
+        image = tuple(int(j == i) for j in range(len(chars)))
+        gens.append(GeneratorImage(name, kind, image))
+    free = sum(c.kind == "FLUX" for c in chars)
+    return ObstructionWitness(free, len(chars) - free, tuple(chars),
+                              tuple(gens))
 
 
 def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
     """Two independent characters onto a non-cyclic target, if available.
 
-    Preference order: two cluster fluxes onto Z^2; a class parity with a
-    cluster flux onto Z/2 x Z; two class parities onto (Z/2)^2; a repeated
-    class's flux-mod-2 with its own parity onto (Z/2)^2.
+    Preference order: two cluster fluxes onto Z^2 (shared predecessors of
+    each pair of maximal classes, then handles of each genus-direct
+    pair); a class parity with a cluster flux onto Z/2 x Z; two class
+    parities onto (Z/2)^2; a repeated class's flux-mod-2 with its own
+    parity onto (Z/2)^2.  The roots of a validated spec are already in
+    ``sort_key`` order.
     """
-    flux = _flux_characters(s)
-    parity = _parity_characters(s)
+    types = s.root_types()
+    flux = [c for i, a in enumerate(types) for b in types[i + 1:]
+            for c in _fluxes(s, a, b)]
+    g0 = [format_type(t) for t in types if t.direct_genus]
+    flux += [Character("FLUX", z="handle", pair=(a, b))
+             for i, a in enumerate(g0) for b in g0[i + 1:]]
     if len(flux) >= 2:
         return _assemble_witness(flux[:2])
+    repeated = [t for t, m in s.roots if m is not CANTOR and m >= 2]
+    parity = [Character("PARITY", maximal_type=format_type(t))
+              for t in repeated]
+    if s.extra_punctures >= 2:
+        parity.append(Character("PARITY", maximal_type="puncture"))
     if flux and parity:
         return _assemble_witness([parity[0], flux[0]])
     if len(parity) >= 2:
         return _assemble_witness(parity[:2])
-    pairs = _mod2_pairs(s)
-    if pairs:
-        return _assemble_witness(pairs[0])
+    if repeated:  # then the only class parity is this class's own
+        t, tn = repeated[0], parity[0].maximal_type
+        mod2 = _fluxes(s, t, t, "FLUX_MOD2")
+        if t.direct_genus:
+            mod2.append(Character("FLUX_MOD2", z="handle", pair=(tn, tn)))
+        if mod2:
+            return _assemble_witness([mod2[0], parity[0]])
     return None
 
 
@@ -269,14 +246,14 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                 notes=("uniquely self-similar: the mapping class group has "
                        "a dense conjugacy class",))
         witness = _build_obstruction(s)
-        if witness is None:
-            return TNGVerdict(
-                Verdict.UNKNOWN, RULE_OBSTRUCTION_GAP,
-                notes=("not uniquely self-similar, but no two independent "
-                       "characters exist in the model (isolated maximal "
-                       "ends without shared predecessors); the obstruction "
-                       "machinery cannot run",))
-        return TNGVerdict(Verdict.NO, RULE_OBSTRUCTION, witness=witness)
+        if witness is not None:
+            return TNGVerdict(Verdict.NO, RULE_OBSTRUCTION, witness=witness)
+        return TNGVerdict(
+            Verdict.UNKNOWN, RULE_OBSTRUCTION_GAP,
+            notes=("not uniquely self-similar, but no two independent "
+                   "characters exist in the model (isolated maximal "
+                   "ends without shared predecessors); the obstruction "
+                   "machinery cannot run",))
 
     # uncountable end space
     if sim is SelfSimilarity.PERFECTLY:

@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_surf(path: Path) -> Optional[str]:
     """The text of a .surf file, or None after a one-line error on stderr."""
     try:
-        return path.read_text(encoding="utf-8")
+        # a leading BOM is dropped after decoding, so that a decode error
+        # still gives the byte's offset in the file
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
     except UnicodeDecodeError as e:
@@ -231,7 +233,8 @@ def cmd_corpus(args) -> int:
     expectations = {}
     if args.expectations:
         try:
-            expectations = json.loads(Path(args.expectations).read_text())
+            # JSON is UTF-8 (RFC 8259), whatever the locale
+            expectations = json.loads(Path(args.expectations).read_bytes())
         except (OSError, ValueError, RecursionError) as e:
             # ValueError: malformed JSON, bad UTF-8, or an integer over
             # the interpreter's digit limit

@@ -61,12 +61,6 @@ class EndPerm:
     def __call__(self, i: int) -> int:
         return self.table.get(i, i + self.d)
 
-    def inverse_at(self, j: int) -> int:
-        for i, v in self.table.items():
-            if v == j:
-                return i
-        return j - self.d
-
     def moved(self) -> Tuple[int, ...]:
         return tuple(sorted(i for i in self.table))
 
@@ -92,11 +86,10 @@ def full_shift(d: int = 1) -> EndPerm:
 def compose(f: EndPerm, g: EndPerm) -> EndPerm:
     """Pointwise f after g."""
     d = f.d + g.d
-    candidates = set(g.table)
-    for j in f.table:
-        candidates.add(g.inverse_at(j))
+    # off g's table g translates by g.d, so f(g(i)) != i + d needs i in
+    # g's table or g(i) = i + g.d in f's table
     table = {}
-    for i in candidates:
+    for i in set(g.table) | {j - g.d for j in f.table}:
         v = f(g(i))
         if v != i + d:
             table[i] = v

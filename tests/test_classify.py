@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +264,20 @@ KNOWN_RULES = {
 
 
 class TestRuleTable:
+    def test_readme_lists_the_rules_in_match_order(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text(encoding="utf-8")
+        section = readme.split("## Verdict rules\n", 1)[1].split("\n## ")[0]
+        tags = [line.split("`")[1] for line in section.splitlines()
+                if line.startswith("| `")]
+        assert sorted(tags) == sorted(
+            v for k, v in vars(cl).items() if k.startswith("RULE_"))
+        # tng_verdict checks extra genus before anything else: a repeated
+        # flute with genus 1 would otherwise match the obstruction rule
+        v = tng_verdict(parse("root omega + 1 * 2\ngenus 1\n"))
+        assert v.rule == tags[0] == RULE_EXTRA_GENUS
+        assert tags[-1] == RULE_UNKNOWN
+
     def test_total_and_exclusive_on_random_specs(self, rng):
         seen = set()
         for _ in range(1000):

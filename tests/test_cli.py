@@ -197,6 +197,26 @@ class TestClassifyCommand:
         assert main(["classify", str(CORPUS / "flute.surf"),
                      "--expect", "NO"]) == EXIT_MISMATCH
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        text = (CORPUS / "flute.surf").read_bytes()
+        (plain / "flute.surf").write_bytes(text)
+        (marked / "flute.surf").write_bytes(b"\xef\xbb\xbf" + text)
+        for argv in (["classify", "{}/flute.surf"], ["corpus", "{}"]):
+            outs = []
+            for d in (plain, marked):
+                assert main([a.format(d) for a in argv]) == EXIT_OK
+                out, err = capsys.readouterr()
+                assert err == ""
+                outs.append(out)
+            assert outs[0] == outs[1]
+        # a decode error after the mark still gives the offset in the file
+        (marked / "flute.surf").write_bytes(b"\xef\xbb\xbf" + text + b"\xff")
+        assert main(["classify", str(marked / "flute.surf")]) == EXIT_PARSE
+        assert "position %d" % (3 + len(text)) in capsys.readouterr().err
+
 
 class TestFluxCommand:
     def test_phi_full_shift(self, capsys):
@@ -417,6 +437,25 @@ class TestCorpusCommand:
         out = capsys.readouterr().out
         names = [ln.split()[0] for ln in out.strip().split("\n")[1:]]
         assert names == sorted(names)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", str(CORPUS / "flute.surf"), "--json", "--witness"],
+    ["corpus", str(CORPUS), "--expectations",
+     str(CORPUS / "expectations.json")],
+    ["flux", "check", "--suite", "additivity", "--n", "5"],
+], ids=["classify", "corpus", "flux-check"])
+def test_no_locale_encoding_in_fresh_processes(argv):
+    # every file the CLI reads is decoded explicitly, never in the locale's
+    # encoding, so EncodingWarning raised as an error never fires
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-m", "endcalc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 class TestUnexpectedErrors:
