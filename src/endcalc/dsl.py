@@ -61,7 +61,6 @@ from .endspace import (
     SurfaceSpec,
     format_type,
     planar_tower,
-    sort_key,
 )
 
 KEYWORDS = {"type", "root", "sub", "punctures", "genus",

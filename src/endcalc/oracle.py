@@ -1,4 +1,5 @@
-"""Brute-force decision of the end-type preorder, used only by tests.
+"""Brute-force decision of the end-type preorder, used by the tests and by
+the preorder-sweep benchmark.
 
 This module deliberately shares no machinery with :mod:`endcalc.endspace`:
 it never builds canonical forms.  It decides whether one type precedes
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .endspace import EndType
 
@@ -141,55 +142,40 @@ def oracle_equivalent(y: EndType, x: EndType) -> bool:
     return _flags(y) == _flags(x) and _same_families(y, x)
 
 
+def _child_sets(pool: List[Tuple[int, EndType]], budget: int, slots: int,
+                start: int) -> Iterator[Tuple[EndType, ...]]:
+    """Each set of at most ``slots`` trees of ``pool[start:]`` whose sizes
+    sum to ``budget``, once, as a tuple in increasing pool order.
+
+    ``pool`` holds (size, tree) pairs of distinct trees; budget 0 gives the
+    empty set.
+    """
+    if budget == 0:
+        yield ()
+    elif slots > 0:
+        for i in range(start, len(pool)):
+            m, t = pool[i]
+            if m <= budget:
+                for rest in _child_sets(pool, budget - m, slots - 1, i + 1):
+                    yield (t,) + rest
+
+
 def enumerate_trees(max_nodes: int,
                     max_children: int = 3,
                     max_depth: int = 3) -> Tuple[EndType, ...]:
     """All raw trees with at most ``max_nodes`` nodes, for exhaustive tests.
 
-    Children are sets, so sibling duplicates collapse; all four flag
-    combinations are generated at every node.
+    Built by size: the trees of n nodes take their children from the
+    smaller trees, n - 1 nodes in all.  Children are sets, so sibling
+    duplicates collapse; all four flag combinations are generated at every
+    node.
     """
-    by_nodes: dict = {}
-
-    def trees_with(n: int) -> Tuple[EndType, ...]:
-        if n in by_nodes:
-            return by_nodes[n]
-        out = []
-        if n == 1:
-            for g, c in itertools.product((False, True), repeat=2):
-                out.append(EndType(g, c, frozenset()))
-        else:
-            # distribute n - 1 nodes among up to max_children distinct subtrees
-            for kids in _child_sets(n - 1, max_children):
-                if 1 + max(k.depth() for k in kids) > max_depth:
-                    continue
-                for g, c in itertools.product((False, True), repeat=2):
-                    out.append(EndType(g, c, frozenset(kids)))
-        by_nodes[n] = tuple(out)
-        return by_nodes[n]
-
-    def _child_sets(budget: int, slots: int) -> Iterator[FrozenSet[EndType]]:
-        # the pool holds distinct trees and rec picks strictly increasing
-        # indices, so no set it yields repeats a tree or an earlier set
-        pool: list = []
-        for m in range(1, budget + 1):
-            pool.extend((m, t) for t in trees_with(m))
-
-        def rec(start: int, remaining: int, left: int, acc: tuple):
-            if acc and remaining == 0:
-                yield frozenset(acc)
-                return
-            if left == 0 or remaining == 0:
-                return
-            for i in range(start, len(pool)):
-                m, t = pool[i]
-                if m > remaining:
-                    continue
-                yield from rec(i + 1, remaining - m, left - 1, acc + (t,))
-
-        yield from rec(0, budget, slots, ())
-
-    all_trees: list = []
+    pool: List[Tuple[int, EndType]] = []
     for n in range(1, max_nodes + 1):
-        all_trees.extend(trees_with(n))
-    return tuple(all_trees)
+        # one frozenset per child set, shared by its four flag variants
+        kid_sets = [frozenset(kids)
+                    for kids in _child_sets(pool, n - 1, max_children, 0)
+                    if all(k.depth() < max_depth for k in kids)]
+        pool += [(n, EndType(g, c, kids)) for kids in kid_sets
+                 for g, c in itertools.product((False, True), repeat=2)]
+    return tuple(t for _, t in pool)

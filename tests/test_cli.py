@@ -373,6 +373,22 @@ class TestCorpusCommand:
         assert code == EXIT_MISMATCH
         assert "mismatch: flute.surf" in out
 
+    @pytest.mark.parametrize("name, entry, mismatch", [
+        ("flute.surf", {"bogus": 1},
+         "flute.surf: unknown expectation key 'bogus'"),
+        ("gone.surf", {"verdict": "YES"},
+         "gone.surf: expected file missing from corpus"),
+    ], ids=["unknown-key", "missing-file"])
+    def test_expectation_that_cannot_be_checked(self, name, entry, mismatch,
+                                                tmp_path, capsys):
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({name: entry}))
+        code = main(["corpus", str(CORPUS), "--expectations", str(exp)])
+        out = capsys.readouterr().out
+        assert code == EXIT_MISMATCH
+        assert [line for line in out.splitlines()
+                if line.startswith("mismatch")] == ["mismatch: " + mismatch]
+
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out

@@ -281,6 +281,9 @@ _PINNED_ERRORS = [
      "unexpected ',' at line 1, column 13 (expected ')')", (1, 13, 12, 13)),
     ("root cantor(genus [puncture])",
      "unexpected '[' at line 1, column 19 (expected ')')", (1, 19, 18, 19)),
+    ("foo",
+     "unknown statement 'foo' at line 1, column 1 (expected type, root, sub, "
+     "punctures or genus)", (1, 1, 0, 3)),
 ]
 
 
@@ -293,7 +296,7 @@ class TestTokens:
         "nesting-limit", "digit-limit", "plain-child", "plain-sub",
         "repetition", "compactification", "genus-without-list",
         "already-defined", "cantor-list-after-comma",
-        "cantor-genus-list-without-comma"])
+        "cantor-genus-list-without-comma", "unknown-statement"])
     def test_pinned_errors(self, text, message, span):
         with pytest.raises(ParseError) as exc:
             parse(text)

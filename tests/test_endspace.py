@@ -116,6 +116,10 @@ class TestInterning:
         assert tower == planar_tower(5000) and tower != planar_tower(4999)
         assert {tower: 1}[planar_tower(5000)] == 1
 
+    def test_negative_tower_depth_rejected(self):
+        with pytest.raises(ValueError, match="tower depth must be nonnegative"):
+            planar_tower(-1)
+
 
 class TestDepthLimit:
     @pytest.mark.parametrize("walk", [canonicalize, below, in_EG, format_type])
@@ -307,6 +311,13 @@ class TestSurfaceSpec:
         s, diags = canonicalize_spec(raw)
         assert not diags and not s.subordinates
 
+    def test_subordinate_count_must_be_positive(self):
+        raw = SurfaceSpec(roots=((planar_tower(2), 1),),
+                          subordinates=((FLUTE, 0),))
+        _, diags = canonicalize_spec(raw)
+        assert diags == ["subordinate count must be a positive integer: "
+                         "omega+1"]
+
     def test_subordinate_not_below_root_diagnosed(self):
         raw = SurfaceSpec(roots=((FLUTE, 1),), subordinates=((LOCH_NESS, 1),))
         _, diags = canonicalize_spec(raw)
@@ -363,6 +374,12 @@ class TestECp:
         t = canonicalize(FLUTE)
         with pytest.raises(ValueError):
             e_cp(s, t, t)
+
+    def test_argument_not_a_root_type(self):
+        s, _ = canonicalize_spec(SurfaceSpec(roots=((FLUTE, 2),)))
+        with pytest.raises(KeyError) as exc:
+            e_cp(s, LOCH_NESS, canonicalize(FLUTE))
+        assert exc.value.args == ("not a root type: acc(genus,[])",)
 
     def test_cantor_flagged_types_excluded(self):
         p = node(cantor=True, children=[CANTOR_LEAF, FLUTE])

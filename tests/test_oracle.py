@@ -1,5 +1,6 @@
 """Differential tests: the production preorder against the search oracle."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -113,6 +114,21 @@ class TestOracleAgreement:
         trees = enumerate_trees(max_nodes, 3, 3)
         assert len(trees) == count
         assert len(set(trees)) == count
+
+    @pytest.mark.parametrize("max_nodes, digest", [
+        (4, "fa1db1b2e77f702e980ed7e9e3222260976c0ca7557c630429f4a11c3ab66605"),
+        (5, "d7beb560e1829cb93f51b5d8948ff57e9172c4d4b314687e6d46d7efe61898a0"),
+    ])
+    def test_enumerate_trees_order(self, max_nodes, digest):
+        # the preorder-sweep benchmark shuffles this order by seed, so a
+        # change of order changes its workload
+        def raw(t):
+            return (t.direct_genus, t.self_accumulating,
+                    sorted(map(raw, t.children)))
+
+        trees = enumerate_trees(max_nodes, 3, 3)
+        assert hashlib.sha256(
+            repr([raw(t) for t in trees]).encode()).hexdigest() == digest
 
     def test_random_depth3_trees(self, rng):
         for _ in range(3000):

@@ -28,7 +28,12 @@ from endcalc.endspace import (
     SurfaceSpec,
     flute,
 )
-from endcalc.flux import FiniteExcluded, PeriodicExcluded, ShiftSpec
+from endcalc.flux import (
+    FiniteExcluded,
+    Normalizer,
+    PeriodicExcluded,
+    ShiftSpec,
+)
 
 _TEXT = "root omega + 1 * 2\nroot acc(genus,[])\n"
 
@@ -58,6 +63,8 @@ RECORDS = [
     (lambda: FiniteExcluded((5, 0)), FiniteExcluded((0,))),
     (lambda: PeriodicExcluded(1, 3, (0,)), PeriodicExcluded(1, 3, (1,))),
     (lambda: ShiftSpec(), ShiftSpec(FiniteExcluded((0,)))),
+    (lambda: Normalizer(FiniteExcluded((0,))),
+     Normalizer(FiniteExcluded((0, 1)))),
 ]
 IDS = [type(other).__name__ for _, other in RECORDS]
 
@@ -101,7 +108,7 @@ def test_copies_and_pickles_keep_every_slot(build, other):
 # the records whose __init__ Record generates from _fields and _defaults
 GENERATED = [ValidationResult, Character, GeneratorImage, ObstructionWitness,
              TNGVerdict, Budget, BoundsReport, ClassificationReport,
-             SourceSpan, InvariantBundle, ShiftSpec]
+             SourceSpan, InvariantBundle, ShiftSpec, Normalizer]
 
 
 def test_only_three_records_write_their_own_init():

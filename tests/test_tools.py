@@ -1,6 +1,8 @@
 """``tools/report_digest.py`` on a few generated surfaces: the reports are
-byte-identical to the pinned digest."""
+byte-identical to the pinned digest.  Also a lint of the package sources:
+no module imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +41,21 @@ def test_report_digest_rejects_an_empty_range(count):
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 2 and out.stdout == ""
     assert "--count must be at least 1" in out.stderr
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_bytes())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                for alias in n.names]
+    return [name for name in imported
+            if name != "annotations" and name not in used]
+
+
+def test_package_modules_use_every_import():
+    unused = {path.name: _unused_imports(path)
+              for path in sorted((ROOT / "src" / "endcalc").glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}
