@@ -12,7 +12,8 @@ Two neighborhoods match when their roots carry the same flags
 (:func:`_flags`) and their accumulation families recur on each other
 (:func:`_same_families`).  The flags are compared first, outside the memo,
 and each tree's positions are grouped by them once, so a search tries only
-candidates whose flags agree.
+candidates whose flags agree.  Family matches are memoized in ``_SAME``,
+one row per first tree (once the scale guard passes it) keyed by the second.
 
 Scale guard: inputs beyond depth 4 or branching 4 are rejected; the
 search is exponential and is only meant for small trees.
@@ -20,6 +21,7 @@ search is exponential and is only meant for small trees.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from typing import Dict, Iterator, List, Tuple
@@ -37,7 +39,8 @@ class OracleScaleError(ValueError):
 
 
 # The helpers below are memoized per node: nodes are interned, so each
-# distinct tree is computed once however many pairs it takes part in.
+# distinct tree is computed once however many pairs it takes part in.  A
+# pair's family match sits in the first tree's row of _SAME.
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,15 +98,27 @@ def _cofinal(t: EndType) -> Dict[_Flags, Tuple[EndType, ...]]:
     return _by_flags(_nodes(t)[1:])
 
 
-@functools.lru_cache(maxsize=None)
+_SAME: Dict[EndType, Dict[EndType, bool]] = collections.defaultdict(dict)
+
+
 def _same_families(a: EndType, b: EndType) -> bool:
     """Accumulation families of a and b recur on each other, root to root.
 
     Callers have already found ``_flags(a) == _flags(b)``; together the
     two conditions say that the neighborhoods of a and b carry copies of
-    each other.  Each family member is matched only against cofinal
-    subtrees with its own flags.  Recursion descends strictly (family
-    members against cofinal subtrees), so no fixpoint choice arises.
+    each other.  Memoized in a's row of ``_SAME``.
+    """
+    row = _SAME[a]
+    same = row.get(b)
+    if same is None:
+        same = row[b] = _families_recur(a, b)
+    return same
+
+
+def _families_recur(a: EndType, b: EndType) -> bool:
+    """The match behind :func:`_same_families`: each family member against
+    the cofinal subtrees with its own flags.  Recursion descends strictly
+    (family members against cofinal subtrees), so no fixpoint choice arises.
     """
     cof_a, cof_b = _cofinal(a), _cofinal(b)
     for c in b.children:
@@ -130,8 +145,12 @@ def oracle_preceq(y: EndType, x: EndType) -> bool:
     """
     _check_scale(y)
     _check_scale(x)
+    row = _SAME[y]  # after the guard: a rejected tree gets no row
     for p in _positions(x).get(_flags(y), ()):
-        if _same_families(y, p):
+        same = row.get(p)
+        if same is None:
+            same = row[p] = _families_recur(y, p)
+        if same:
             return True
     return False
 

@@ -7,9 +7,9 @@ The universe: one or two root classes drawn from the canonical classes of
 (acceptance criterion 8) reads nothing from the spec but a multiplicity,
 so it cannot notice a character the surface does not have; the checks
 here decide each character from the raw trees and the oracle's preorder,
-without ``e_cp`` or ``immediate_predecessors``.  Every spec also
-round-trips through its text, every YES has ``lower <= upper``, and the
-specs of the countable gap are pinned.
+without ``e_cp`` or ``immediate_predecessors``.  Every NO witness also
+passes that model check, every spec round-trips through its text, every
+YES has ``lower <= upper``, and the specs of the countable gap are pinned.
 """
 
 import collections
@@ -28,6 +28,7 @@ from endcalc.endspace import (
     format_type,
 )
 from endcalc.oracle import enumerate_trees, oracle_preceq
+from conftest import check_witness_on_models
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,13 @@ def test_census_round_trips_and_bounds(census):
     bounds = [generator_bounds(s) for s, v in census
               if v.verdict is Verdict.YES]
     assert bounds and all(b.lower <= b.upper for b in bounds)
+
+
+def test_census_no_witnesses_pass_the_model_check(census):
+    no = [(s, v.witness) for s, v in census if v.verdict is Verdict.NO]
+    assert len(no) == 110
+    for s, w in no:
+        check_witness_on_models(w, s, products=50)
 
 
 def test_census_countable_gap_pinned(census):

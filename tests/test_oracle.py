@@ -14,6 +14,7 @@ from endcalc.endspace import (
     planar_tower,
     preceq,
 )
+from endcalc import oracle
 from endcalc.oracle import (
     OracleScaleError,
     enumerate_trees,
@@ -83,23 +84,20 @@ class TestOracleExamples:
 
     def test_scale_guard(self):
         # the oracle's helpers are memoized per tree: a warm cache must not
-        # turn the guard into a one-shot check
+        # turn the guard into a one-shot check, and a rejected tree must
+        # never get a row of the family-match memo
         assert oracle_preceq(planar_tower(4), planar_tower(4))
-        deep = planar_tower(6)
-        for _ in range(2):
-            with pytest.raises(OracleScaleError):
-                oracle_preceq(deep, PUNCTURE)
         four = [PUNCTURE, FLUTE, CANTOR_LEAF, node(genus=True)]
         assert oracle_preceq(PUNCTURE, node(children=four))
+        deep = planar_tower(6)
         five = node(children=four + [node(genus=True, cantor=True)])
-        for _ in range(2):
-            with pytest.raises(OracleScaleError):
-                oracle_preceq(PUNCTURE, five)
-        for _ in range(2):
-            with pytest.raises(OracleScaleError):
-                oracle_equivalent(deep, deep)
-            with pytest.raises(OracleScaleError):
-                oracle_equivalent(PUNCTURE, five)
+        for bad in (deep, five):
+            for _ in range(2):
+                for call in (oracle_preceq, oracle_equivalent):
+                    for y, x in ((bad, PUNCTURE), (PUNCTURE, bad), (bad, bad)):
+                        with pytest.raises(OracleScaleError):
+                            call(y, x)
+            assert bad not in oracle._SAME
 
 
 class TestOracleAgreement:

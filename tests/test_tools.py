@@ -1,6 +1,8 @@
 """``tools/report_digest.py`` on a few generated surfaces: the reports are
-byte-identical to the pinned digest.  Also a lint of the package sources:
-no module imports a name it never uses."""
+byte-identical to the pinned digest; ``tools/quotient_sweep.py`` on the
+4-node classes.  Also lints of the package sources: no module imports a
+name it never uses, and the oracle takes only ``EndType`` from the
+package."""
 
 import ast
 import os
@@ -43,6 +45,16 @@ def test_report_digest_rejects_an_empty_range(count):
     assert "--count must be at least 1" in out.stderr
 
 
+def test_quotient_sweep_on_4_node_classes():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "quotient_sweep.py"),
+         "--max-nodes", "4"],
+        capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        "trees=732 classes=262 pairs=68644 disagreements=0\n")
+
+
 def _unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_bytes())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -59,3 +71,16 @@ def test_package_modules_use_every_import():
               for path in sorted((ROOT / "src" / "endcalc").glob("*.py"))
               if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_oracle_takes_only_endtype_from_the_package():
+    # the oracle is an independent check of endspace: it may share no
+    # machinery with the code it checks
+    tree = ast.parse((ROOT / "src" / "endcalc" / "oracle.py").read_bytes())
+    imports = [(n.level, n.module, [a.name for a in n.names])
+               for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and (n.level or (n.module or "").startswith("endcalc"))]
+    imports += [(0, a.name, []) for n in ast.walk(tree)
+                if isinstance(n, ast.Import) for a in n.names
+                if a.name.startswith("endcalc")]
+    assert imports == [(1, "endspace", ["EndType"])]
