@@ -24,7 +24,6 @@ from .classify import (
 from .dsl import ParseError, emit_report, parse, report_to_dict, spec_to_text
 from .endspace import (
     CANTOR,
-    HANDLE,
     EndType,
     InvariantBundle,
     SpecError,
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport", "CANTOR", "Character", "ClassificationReport", "EndType",
-    "GeneratorImage", "HANDLE", "InvariantBundle", "ObstructionWitness",
-    "ParseError", "SelfSimilarity", "SpecError", "SurfaceSpec", "TNGVerdict",
+    "GeneratorImage", "InvariantBundle", "ObstructionWitness", "ParseError",
+    "SelfSimilarity", "SpecError", "SurfaceSpec", "TNGVerdict",
     "ValidationResult", "Verdict", "below", "canonicalize", "e_cp",
     "emit_report", "equivalent", "format_type", "generator_bounds",
     "immediate_predecessors", "in_EG", "invariant_bundle", "node", "parse",

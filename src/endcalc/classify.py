@@ -28,7 +28,6 @@ from typing import List, Optional
 
 from .endspace import (
     CANTOR,
-    HANDLE,
     EndType,
     Record,
     SpecError,
@@ -238,9 +237,8 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "displaceable; whether it breaks the dense-conjugacy "
                    "argument is unresolved, so no YES/NO verdict is issued",))
 
-    sim = self_similarity(s)
     if s.is_countable():
-        if sim is SelfSimilarity.UNIQUELY:
+        if self_similarity(s) is SelfSimilarity.UNIQUELY:
             return TNGVerdict(
                 Verdict.YES, RULE_ROKHLIN,
                 notes=("uniquely self-similar: the mapping class group has "
@@ -256,37 +254,35 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "machinery cannot run",))
 
     # uncountable end space
-    if sim is SelfSimilarity.PERFECTLY:
-        return TNGVerdict(
-            Verdict.YES, RULE_TELESCOPING,
-            notes=("perfectly self-similar surfaces are telescoping and "
-                   "normally generated by a strong dilatation",))
     cantor_roots = [t for t, m in s.roots if m is CANTOR]
     finite_roots = [(t, m) for t, m in s.roots if m is not CANTOR]
-    if len(s.roots) == 1 and cantor_roots and s.extra_punctures == 1:
-        return TNGVerdict(
-            Verdict.YES, RULE_INVOLUTION,
-            notes=("a Cantor class with one puncture is normally generated "
-                   "by a single involution",))
-    if (len(s.roots) == 2 and len(cantor_roots) == 1
-            and len(finite_roots) == 1 and finite_roots[0][1] == 1
-            and s.extra_punctures == 0
-            and len(immediate_predecessors(finite_roots[0][0])) <= 1):
-        return TNGVerdict(
-            Verdict.YES, RULE_CANTOR_PLUS_END,
-            notes=("normal generator: a shift toward the simple isolated "
-                   "end composed with a half-space translation",))
+    notes = ("no decision rule applies",)
+    if not finite_roots and len(cantor_roots) == 1:
+        if s.extra_punctures == 0:  # perfectly self-similar
+            return TNGVerdict(
+                Verdict.YES, RULE_TELESCOPING,
+                notes=("perfectly self-similar surfaces are telescoping and "
+                       "normally generated by a strong dilatation",))
+        if s.extra_punctures == 1:
+            return TNGVerdict(
+                Verdict.YES, RULE_INVOLUTION,
+                notes=("a Cantor class with one puncture is normally "
+                       "generated by a single involution",))
+        notes += ("whether a Cantor class with two or more punctures is "
+                  "topologically normally generated is an open question",)
+    if len(cantor_roots) == len(finite_roots) == 1 and not s.extra_punctures:
+        (u, m), = finite_roots
+        if m == 1 and len(immediate_predecessors(u)) + u.direct_genus <= 1:
+            return TNGVerdict(Verdict.YES, RULE_CANTOR_PLUS_END, notes=(
+                "normal generator: a shift toward the simple isolated end "
+                "composed with a half-space translation",))
     for u, _ in finite_roots:
         for p in cantor_roots:
             fluxes = _fluxes(s, u, p)
             if len(fluxes) >= 2:
                 return TNGVerdict(Verdict.NO, RULE_DOUBLE_FLUX,
                                   witness=_assemble_witness(fluxes[:2]))
-    notes = ["no decision rule applies"]
-    if len(s.roots) == 1 and cantor_roots and s.extra_punctures >= 2:
-        notes.append("whether a Cantor class with two or more punctures is "
-                     "topologically normally generated is an open question")
-    return TNGVerdict(Verdict.UNKNOWN, RULE_UNKNOWN, notes=tuple(notes))
+    return TNGVerdict(Verdict.UNKNOWN, RULE_UNKNOWN, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +328,7 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
         admits: dict = {}
         for t, m in s.roots:
             for z in immediate_predecessors(t):
-                if z is not HANDLE:
-                    admits[z] = admits.get(z, 0) + m
+                admits[z] = admits.get(z, 0) + m
         flux_rank = sum(n - 1 for n in admits.values())
         handle_pairs = math.comb(sum(m for t, m in s.roots if t.direct_genus),
                                  2)

@@ -55,9 +55,6 @@ class _Marker:
 #: Marker for a maximal class that is a Cantor set (used as a multiplicity).
 CANTOR = _Marker("CANTOR")
 
-#: Marker for a handle among immediate predecessors (never an EndType).
-HANDLE = _Marker("HANDLE")
-
 Multiplicity = Union[int, _Marker]
 
 #: Deepest tree accepted by :func:`canonicalize`, :func:`below`,
@@ -239,18 +236,14 @@ def equivalent(x: EndType, y: EndType) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def immediate_predecessors(x: EndType) -> FrozenSet[Union[EndType, _Marker]]:
-    """Maximal types strictly below x, plus HANDLE when genus is direct.
+def immediate_predecessors(x: EndType) -> FrozenSet[EndType]:
+    """Maximal types strictly below x: end types only.
 
-    The HANDLE marker stands in for handles accumulating to x when no
-    genus-accumulated type lies below (equivalently, direct_genus is
-    still set after canonicalization).
+    Handles are not end types.  Handles accumulating to x with no
+    genus-accumulated type below are ``canonicalize(x).direct_genus``.
     """
     cx = canonicalize(x)
-    out = set(_maximal([t for t in below(cx) if t != cx]))
-    if cx.direct_genus:
-        out.add(HANDLE)
-    return frozenset(out)
+    return frozenset(_maximal([t for t in below(cx) if t != cx]))
 
 
 def format_type(t: EndType) -> str:
@@ -525,8 +518,8 @@ def _merge_mult(a: Optional[Multiplicity], b: Multiplicity) -> Multiplicity:
 def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
     """Common immediate predecessor types of two maximal classes.
 
-    Counts types, not individual ends.  The HANDLE marker and types whose
-    class is a Cantor set are excluded.  For a == b the pair means two
+    Counts types, not individual ends; handles are not types, and types
+    whose class is a Cantor set are excluded.  For a == b the pair means two
     distinct ends of that class, which requires multiplicity >= 2 or a
     Cantor class.
     """
@@ -537,8 +530,7 @@ def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
         raise ValueError("no second end of class %s (multiplicity 1)"
                          % format_type(ca))
     shared = immediate_predecessors(ca) & immediate_predecessors(cb)
-    return frozenset(t for t in shared
-                     if t is not HANDLE and not t.self_accumulating)
+    return frozenset(t for t in shared if not t.self_accumulating)
 
 
 class InvariantBundle(Record):
@@ -547,21 +539,12 @@ class InvariantBundle(Record):
     __slots__ = _fields = ("M", "C", "M_iso", "G0")
 
 
-def admissible_pairs(s: SurfaceSpec):
-    """Unordered pairs of maximal ends that can cobound a shift strip."""
-    types = s.root_types()
-    for a, b in itertools.combinations(types, 2):
-        yield a, b
-    for t, m in s.roots:
-        if m is CANTOR or m >= 2:
-            yield t, t
-
-
 def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
     types = s.root_types()
-    c = 0
-    for a, b in admissible_pairs(s):
-        c = max(c, len(e_cp(s, a, b)))
+    # the unordered pairs of maximal ends that can cobound a shift strip
+    pairs = list(itertools.combinations(types, 2))
+    pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
+    c = max((len(e_cp(s, a, b)) for a, b in pairs), default=0)
     m_iso = sum(1 for t, m in s.roots
                 if m is not CANTOR and not t.is_puncture())
     g0 = frozenset(t for t in types if t.direct_genus)

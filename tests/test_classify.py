@@ -244,14 +244,13 @@ class TestBounds:
                 assert c * m + max(0, m * (m - 2)) + m == m * (m + c - 1)
 
     def test_flux_rank_zero_iff_no_shared_predecessor(self, rng):
-        from endcalc.endspace import HANDLE, immediate_predecessors
+        from endcalc.endspace import immediate_predecessors
         for _ in range(120):
             s = random_spec(rng, countable=True)
             admits = {}
             for t, m in s.roots:
                 for z in immediate_predecessors(t):
-                    if z is not HANDLE:
-                        admits[z] = admits.get(z, 0) + m
+                    admits[z] = admits.get(z, 0) + m
             expected_zero = all(n == 1 for n in admits.values())
             assert (generator_bounds(s).flux_rank == 0) == expected_zero
 

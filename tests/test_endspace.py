@@ -12,7 +12,6 @@ import pytest
 from endcalc.endspace import (
     CANTOR,
     CANTOR_LEAF,
-    HANDLE,
     EndType,
     LOCH_NESS,
     MAX_DEPTH,
@@ -237,7 +236,9 @@ class TestImmediatePredecessors:
         assert immediate_predecessors(FLUTE) == frozenset({PUNCTURE})
 
     def test_loch_ness_handle(self):
-        assert immediate_predecessors(LOCH_NESS) == frozenset({HANDLE})
+        # handles are not end types: direct genus is a flag of the node
+        assert immediate_predecessors(LOCH_NESS) == frozenset()
+        assert canonicalize(LOCH_NESS).direct_genus
 
     def test_tower(self):
         assert immediate_predecessors(planar_tower(2)) == frozenset(
@@ -246,7 +247,7 @@ class TestImmediatePredecessors:
     def test_antichain_inside_below(self, rng):
         for _ in range(200):
             x = random_canonical_tree(rng, 3)
-            preds = [p for p in immediate_predecessors(x) if p is not HANDLE]
+            preds = immediate_predecessors(x)
             for p in preds:
                 assert p in below(x)
                 assert not equivalent(p, x)
@@ -255,8 +256,9 @@ class TestImmediatePredecessors:
 
     def test_memo_agrees_with_the_function(self):
         for x in enumerate_trees(4, 3, 3):
-            assert immediate_predecessors(x) == \
-                immediate_predecessors.__wrapped__(x)
+            preds = immediate_predecessors(x)
+            assert preds == immediate_predecessors.__wrapped__(x)
+            assert all(type(p) is EndType for p in preds)
 
 
 class TestSurfaceSpec:
