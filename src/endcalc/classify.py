@@ -237,12 +237,12 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "displaceable; whether it breaks the dense-conjugacy "
                    "argument is unresolved, so no YES/NO verdict is issued",))
 
+    if self_similarity(s) is SelfSimilarity.UNIQUELY:
+        return TNGVerdict(
+            Verdict.YES, RULE_ROKHLIN,
+            notes=("uniquely self-similar: the mapping class group has "
+                   "a dense conjugacy class",))
     if s.is_countable():
-        if self_similarity(s) is SelfSimilarity.UNIQUELY:
-            return TNGVerdict(
-                Verdict.YES, RULE_ROKHLIN,
-                notes=("uniquely self-similar: the mapping class group has "
-                       "a dense conjugacy class",))
         witness = _build_obstruction(s)
         if witness is not None:
             return TNGVerdict(Verdict.NO, RULE_OBSTRUCTION, witness=witness)

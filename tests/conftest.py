@@ -272,19 +272,29 @@ def check_witness_on_models(witness: ObstructionWitness, spec: SurfaceSpec,
         assert lhs == rhs, (lhs, rhs)
 
 
-SURFGEN = Path(__file__).resolve().parent.parent / "bench" / "surfgen.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_file(name: str, path: Path):
+    """The module at path, loaded from its file once and not modified."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_surfgen():
-    """The benchmark's generator, ``bench/surfgen.py``, loaded from its file
-    and not modified."""
-    if "surfgen" in sys.modules:
-        return sys.modules["surfgen"]
-    spec = importlib.util.spec_from_file_location("surfgen", SURFGEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["surfgen"] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+    """The benchmark's generator, ``bench/surfgen.py``."""
+    return _load_file("surfgen", ROOT / "bench" / "surfgen.py")
+
+
+def load_census_tool():
+    """``tools/census.py``: the census universe and its cross-field
+    checks."""
+    return _load_file("census_tool", ROOT / "tools" / "census.py")
 
 
 @pytest.fixture

@@ -1,86 +1,66 @@
 """Exhaustive census of small canonical specs, with every NO witness
-character re-derived by the brute-force oracle.
+character and every counting invariant re-derived by the brute-force
+oracle.
 
-The universe: one or two root classes drawn from the canonical classes of
-``enumerate_trees(3, 3, 3)``, each of multiplicity 1, 2 or CANTOR, with
-0 to 2 extra punctures and 0 or 1 extra genus.  The witness model check
-(acceptance criterion 8) reads nothing from the spec but a multiplicity,
-so it cannot notice a character the surface does not have; the checks
-here decide each character from the raw trees and the oracle's preorder,
-without ``e_cp`` or ``immediate_predecessors``.  Every NO witness also
-passes that model check, every spec round-trips through its text, every
-YES has ``lower <= upper``, and the specs of the countable gap are pinned.
+The universe and its cross-field checks live in ``tools/census.py``,
+loaded here from its file: one or two root classes drawn from the
+canonical classes of ``enumerate_trees(3, 3, 3)``, each of multiplicity
+1, 2 or CANTOR, with 0 to 2 extra punctures and 0 or 1 extra genus.  The
+witness model check (acceptance criterion 8) reads nothing from the spec
+but a multiplicity, so it cannot notice a character the surface does not
+have; the checks here decide each character, and ``C``, ``|G0|`` and the
+flux rank, from the raw trees and the oracle's preorder, without
+``e_cp`` or ``immediate_predecessors``.  Every NO witness also passes that
+model check, every spec round-trips through its text, every report passes
+the cross-field checks, and the specs of the countable gap are pinned.
 """
 
 import collections
 import hashlib
-import itertools
 
 import pytest
 
-from endcalc.classify import Verdict, generator_bounds, tng_verdict
+from endcalc.classify import SelfSimilarity, Verdict, self_similarity
 from endcalc.dsl import parse, spec_to_text
-from endcalc.endspace import (
-    CANTOR,
-    SurfaceSpec,
-    canonicalize,
-    canonicalize_spec,
-    format_type,
-)
-from endcalc.oracle import enumerate_trees, oracle_preceq
-from conftest import check_witness_on_models
+from endcalc.endspace import CANTOR, format_type
+from endcalc.oracle import oracle_equivalent, oracle_preceq
+from conftest import check_witness_on_models, load_census_tool
 
 
 @pytest.fixture(scope="module")
 def census():
-    """Every distinct valid canonical spec of the universe, with its
-    verdict.  The canonical roots are built once per root combination;
-    extra punctures and genus then vary on them."""
-    classes = {canonicalize(t) for t in enumerate_trees(3, 3, 3)}
-    assert len(classes) == 62
-    mults = (1, 2, CANTOR)
-    combos = [((t, m),) for t in classes for m in mults]
-    combos += [((a, m), (b, n)) for a, b in itertools.combinations(classes, 2)
-               for m in mults for n in mults]
-    bases = set()
-    for roots in combos:
-        base, diags = canonicalize_spec(SurfaceSpec(roots=roots))
-        if not diags:
-            bases.add((base.roots, base.extra_punctures))
-    specs = {}
-    for roots, punctures in bases:
-        for p, g in itertools.product(range(3), range(2)):
-            s, diags = canonicalize_spec(
-                SurfaceSpec(roots, (), punctures + p, g))
-            assert not diags
-            specs[s.roots, s.extra_punctures, s.extra_genus] = s
-    return [(s, tng_verdict(s)) for s in specs.values()]
+    """(spec, verdict, bounds) for every distinct valid canonical spec of
+    the universe."""
+    return load_census_tool().census(3)
 
 
 def test_census_size_and_rule_histogram(census):
     assert len(census) == 7212
-    assert collections.Counter(v.rule for _, v in census) == {
-        "unknown": 6197,
+    assert collections.Counter(v.rule for _, v, _ in census) == {
+        "unknown": 6176,
         "cantor-plus-tame-end": 501,
         "unresolved-extra-genus": 304,
         "noncyclic-abelian-quotient": 108,
         "noncyclic-quotient-unavailable": 41,
         "telescoping": 31,
+        "rokhlin": 30,
         "malestein-tao-involution": 19,
-        "rokhlin": 9,
         "double-flux-obstruction": 2,
     }
 
 
 def test_census_round_trips_and_bounds(census):
-    assert [s for s, _ in census if parse(spec_to_text(s)) != s] == []
-    bounds = [generator_bounds(s) for s, v in census
-              if v.verdict is Verdict.YES]
-    assert bounds and all(b.lower <= b.upper for b in bounds)
+    assert [s for s, _, _ in census if parse(spec_to_text(s)) != s] == []
+    # the cross-field checks: lower <= upper on every spec, NO and UNKNOWN
+    # included, and a self-similar spec is YES
+    assert load_census_tool().failures(census) == []
+    similar = collections.Counter(self_similarity(s) for s, _, _ in census)
+    assert similar[SelfSimilarity.UNIQUELY] == 30
+    assert similar[SelfSimilarity.PERFECTLY] == 31
 
 
 def test_census_no_witnesses_pass_the_model_check(census):
-    no = [(s, v.witness) for s, v in census if v.verdict is Verdict.NO]
+    no = [(s, v.witness) for s, v, _ in census if v.verdict is Verdict.NO]
     assert len(no) == 110
     for s, w in no:
         check_witness_on_models(w, s, products=50)
@@ -89,7 +69,8 @@ def test_census_no_witnesses_pass_the_model_check(census):
 def test_census_countable_gap_pinned(census):
     # countable specs left UNKNOWN because the model has no non-cyclic
     # quotient for them: any change to the set shows here
-    gap = [s for s, v in census if v.rule == "noncyclic-quotient-unavailable"]
+    gap = [s for s, v, _ in census
+           if v.rule == "noncyclic-quotient-unavailable"]
     assert len(gap) == 41
     assert hashlib.sha256("\0".join(
         sorted(spec_to_text(s) for s in gap)).encode()).hexdigest() == (
@@ -145,8 +126,61 @@ def _character_holds(s, c) -> bool:
 
 
 def test_no_witness_characters_rederived_by_the_oracle(census):
-    chars = [(s, c) for s, v in census if v.verdict is Verdict.NO
+    chars = [(s, c) for s, v, _ in census if v.verdict is Verdict.NO
              for c in v.witness.characters]
     wrong = [(s, c) for s, c in chars if not _character_holds(s, c)]
     assert wrong == []
     assert len(chars) == 220  # two characters on each of 110 witnesses
+
+
+# -- the oracle's account of the counting invariants ------------------------
+
+
+def _predecessor_classes(x) -> list:
+    """One position of x per oracle class of its immediate predecessors."""
+    reps = []
+    for p in _positions(x):
+        if _immediate(p, x) and not any(
+                oracle_equivalent(p, r) for r in reps):
+            reps.append(p)
+    return reps
+
+
+def _oracle_invariants(s, preds) -> tuple:
+    """(C, |G0|, flux rank) of a spec, decided on the root trees by the
+    oracle; the flux rank is None when a Cantor class occurs."""
+    roots = s.roots
+    pairs = [(a, b) for i, (a, _) in enumerate(roots)
+             for b, _ in roots[i + 1:]]
+    pairs += [(t, t) for t, m in roots if m is CANTOR or m >= 2]
+    c = max((sum(not z.self_accumulating and _immediate(z, b)
+                 for z in preds[a]) for a, b in pairs), default=0)
+    g0 = sum(_direct_genus(t) for t, _ in roots)
+    if any(m is CANTOR or any(p.self_accumulating for p in _positions(t))
+           for t, m in roots):
+        return c, g0, None
+    admits = []  # [class representative, maximal ends admitting it]
+    for t, m in roots:
+        for z in preds[t]:
+            for entry in admits:
+                if oracle_equivalent(entry[0], z):
+                    entry[1] += m
+                    break
+            else:
+                admits.append([z, m])
+    return c, g0, sum(n - 1 for _, n in admits)
+
+
+def test_counting_invariants_rederived_by_the_oracle(census):
+    preds = {t: _predecessor_classes(t)
+             for t in {t for s, _, _ in census for t, _ in s.roots}}
+    wrong = []
+    ranks = 0
+    for s, _, b in census:
+        i = b.invariants
+        expected = _oracle_invariants(s, preds)
+        ranks += expected[2] is not None
+        if (i.C, len(i.G0), b.flux_rank) != expected:
+            wrong.append((spec_to_text(s), expected))
+    assert wrong == []
+    assert ranks == 162  # the countable specs

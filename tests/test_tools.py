@@ -1,6 +1,7 @@
 """``tools/report_digest.py`` on a few generated surfaces: the reports are
 byte-identical to the pinned digest; ``tools/quotient_sweep.py`` on the
-4-node classes.  Also lints of the package sources: no module imports a
+4-node classes; ``tools/census.py`` on the 2-node universe and on a
+failed check.  Also lints of the package sources: no module imports a
 name it never uses, and the oracle takes only ``EndType`` from the
 package."""
 
@@ -11,6 +12,16 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from endcalc.classify import (
+    BoundsReport,
+    TNGVerdict,
+    Verdict,
+    generator_bounds,
+    tng_verdict,
+)
+from endcalc.dsl import parse
+from conftest import load_census_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,7 +38,7 @@ def _digest(hash_seed: str) -> str:
 
 # change only with a change meant to alter a report, and say which
 PINNED = ("valid=78 sha256="
-          "67a6c013dc5773ce3ddbf2a0aceb8f0c0ed17bfae0be37287589d86e8ef8bdb7\n")
+          "5ca2086f06cb4798f5cf75e40263f2f0a09bcd6058215129538864a529105555\n")
 
 
 def test_report_digest_is_stable():
@@ -53,6 +64,42 @@ def test_quotient_sweep_on_4_node_classes():
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout == (
         "trees=732 classes=262 pairs=68644 disagreements=0\n")
+
+
+def test_census_on_2_node_trees():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "census.py"),
+         "--max-nodes", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        "specs=538\n"
+        "unknown=397\n"
+        "unresolved-extra-genus=43\n"
+        "cantor-plus-tame-end=37\n"
+        "noncyclic-abelian-quotient=27\n"
+        "noncyclic-quotient-unavailable=13\n"
+        "telescoping=8\n"
+        "rokhlin=7\n"
+        "malestein-tao-involution=6\n")
+
+
+def test_census_reports_a_failed_check_and_an_empty_universe():
+    tool = load_census_tool()
+    s = parse("root acc([acc([cantor(genus)])])\n")
+    b = generator_bounds(s)
+    inverted = BoundsReport(b.upper + 1, b.upper, *[
+        getattr(b, name) for name in BoundsReport._fields[2:]])
+    assert tool.failures([
+        (s, TNGVerdict(Verdict.UNKNOWN, "unknown"), b),
+        (s, tng_verdict(s), inverted),
+    ]) == [("self-similar-is-yes", s), ("lower<=upper", s)]
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "census.py"),
+         "--max-nodes", "0"],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "--max-nodes must be at least 1" in out.stderr
 
 
 def _unused_imports(path: Path) -> list:
