@@ -32,7 +32,6 @@ from .endspace import (
     Record,
     SpecError,
     SurfaceSpec,
-    below,
     canonicalize_spec,
     e_cp,
     format_type,
@@ -80,14 +79,11 @@ def validate(s: SurfaceSpec) -> ValidationResult:
     canonical, diags = (s, ()) if s.validated else canonicalize_spec(s)
     if diags:
         return ValidationResult(False, tuple(diags), (), None)
-    notes = [MODEL_NOTE]
-    for t in canonical.root_types():
-        if any(u.self_accumulating and u != t for u in below(t)):
-            notes.append("a Cantor class accumulated by further Cantor "
-                         "classes: outside the worked examples, general "
-                         "rules applied")
-            break
-    return ValidationResult(True, (), tuple(notes), canonical)
+    notes = (MODEL_NOTE,)
+    if any(c._cantor for t, _ in canonical.roots for c in t.children):
+        notes += ("a Cantor class accumulated by further Cantor classes: "
+                  "outside the worked examples, general rules applied",)
+    return ValidationResult(True, (), notes, canonical)
 
 
 def require_valid(s: SurfaceSpec) -> SurfaceSpec:
@@ -237,11 +233,17 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "displaceable; whether it breaks the dense-conjugacy "
                    "argument is unresolved, so no YES/NO verdict is issued",))
 
-    if self_similarity(s) is SelfSimilarity.UNIQUELY:
+    similarity = self_similarity(s)
+    if similarity is SelfSimilarity.UNIQUELY:
         return TNGVerdict(
             Verdict.YES, RULE_ROKHLIN,
             notes=("uniquely self-similar: the mapping class group has "
                    "a dense conjugacy class",))
+    if similarity is SelfSimilarity.PERFECTLY:
+        return TNGVerdict(
+            Verdict.YES, RULE_TELESCOPING,
+            notes=("perfectly self-similar surfaces are telescoping and "
+                   "normally generated by a strong dilatation",))
     if s.is_countable():
         witness = _build_obstruction(s)
         if witness is not None:
@@ -258,11 +260,6 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
     finite_roots = [(t, m) for t, m in s.roots if m is not CANTOR]
     notes = ("no decision rule applies",)
     if not finite_roots and len(cantor_roots) == 1:
-        if s.extra_punctures == 0:  # perfectly self-similar
-            return TNGVerdict(
-                Verdict.YES, RULE_TELESCOPING,
-                notes=("perfectly self-similar surfaces are telescoping and "
-                       "normally generated by a strong dilatation",))
         if s.extra_punctures == 1:
             return TNGVerdict(
                 Verdict.YES, RULE_INVOLUTION,

@@ -11,9 +11,11 @@ End types are interned (hash-consed): structurally equal trees are one
 and the same immutable object, so equality and hashing are by identity
 and cost the same at any depth.  Build a variant of a node with the
 :class:`EndType` constructor (or :func:`node`), never by mutation.
-:func:`canonicalize`, :func:`below`, :func:`in_EG` and :func:`format_type`
-recurse once per level and raise ``ValueError`` on a tree deeper than
-:data:`MAX_DEPTH`; the repr of such a tree shows only its depth.
+A node's depth, genus accumulation, Cantor class at or below it and pure
+planar tower height are computed from its children when it is built.
+:func:`canonicalize`, :func:`below` and :func:`format_type` recurse once
+per level; they and :func:`in_EG` raise ``ValueError`` on a tree deeper
+than :data:`MAX_DEPTH`, and the repr of such a tree shows only its depth.
 
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
@@ -58,9 +60,9 @@ CANTOR = _Marker("CANTOR")
 Multiplicity = Union[int, _Marker]
 
 #: Deepest tree accepted by :func:`canonicalize`, :func:`below`,
-#: :func:`in_EG` and :func:`format_type`, and built by the parser.  They
-#: recurse once per level: depth 300 fits the default recursion limit, 400
-#: does not.
+#: :func:`in_EG` and :func:`format_type`, and built by the parser.  All but
+#: :func:`in_EG` recurse once per level: depth 300 fits the default
+#: recursion limit, 400 does not.
 MAX_DEPTH = 256
 
 #: (direct_genus, self_accumulating, children) -> the one node with them.
@@ -87,7 +89,8 @@ class EndType:
     variant with the constructor.
     """
 
-    __slots__ = ("direct_genus", "self_accumulating", "children", "_depth")
+    __slots__ = ("direct_genus", "self_accumulating", "children", "_depth",
+                 "_genus", "_cantor", "_tower")
 
     def __new__(cls, direct_genus: bool = False,
                 self_accumulating: bool = False,
@@ -102,6 +105,17 @@ class EndType:
             init(t, "children", children)
             init(t, "_depth",
                  1 + max(c._depth for c in children) if children else 0)
+            # genus accumulates here; a Cantor class lies at or below here
+            init(t, "_genus", direct_genus or any(c._genus for c in children))
+            init(t, "_cantor",
+                 self_accumulating or any(c._cantor for c in children))
+            # the height of a pure planar tower over a puncture, else None
+            tower = None
+            if not (direct_genus or self_accumulating or len(children) > 1):
+                tower = 0
+                for c in children:  # the one child, if any
+                    tower = None if c._tower is None else c._tower + 1
+            init(t, "_tower", tower)
             # setdefault, not assignment: of two threads building the same
             # node, both must get the one that was stored
             t = _INTERNED.setdefault(key, t)
@@ -118,10 +132,6 @@ class EndType:
 
     def __deepcopy__(self, memo):
         return self
-
-    def is_puncture(self) -> bool:
-        return (not self.direct_genus and not self.self_accumulating
-                and not self.children)
 
     def depth(self) -> int:
         return self._depth
@@ -182,7 +192,7 @@ def canonicalize(t: EndType) -> EndType:
     _check_depth(t)
     kids = frozenset(canonicalize(c) for c in t.children)
     reduced = frozenset(_maximal(kids))
-    genus = t.direct_genus and not any(in_EG(c) for c in reduced)
+    genus = t.direct_genus and not any(c._genus for c in reduced)
     return EndType(genus, t.self_accumulating, reduced)
 
 
@@ -202,16 +212,10 @@ def below(t: EndType) -> FrozenSet[EndType]:
     return frozenset(acc)
 
 
-@functools.lru_cache(maxsize=None)
 def in_EG(t: EndType) -> bool:
     """True when the end is accumulated by genus (directly or below)."""
     _check_depth(t)
-    if t.direct_genus:
-        return True
-    for c in t.children:  # a loop, not any(): one frame per level
-        if in_EG(c):
-            return True
-    return False
+    return t._genus
 
 
 def _maximal(types) -> list:
@@ -249,9 +253,9 @@ def immediate_predecessors(x: EndType) -> FrozenSet[EndType]:
 def format_type(t: EndType) -> str:
     """Readable, parseable rendering of a type."""
     t = canonicalize(t)
-    if t.is_puncture():
+    k = t._tower
+    if k == 0:
         return "puncture"
-    k = _tower_depth(t)
     if k is not None:
         return "omega^%d+1" % k if k > 1 else "omega+1"
     head = "cantor" if t.self_accumulating else "acc"
@@ -262,21 +266,6 @@ def format_type(t: EndType) -> str:
     if kids or not t.self_accumulating:
         inner.append("[" + ",".join(format_type(c) for c in kids) + "]")
     return head + "(" + ",".join(inner) + ")"
-
-
-def _tower_depth(t: EndType) -> Optional[int]:
-    # pure planar tower: chain of single-child nodes ending in a puncture
-    k = 0
-    cur = t
-    while True:
-        if cur.direct_genus or cur.self_accumulating:
-            return None
-        if not cur.children:
-            return k if k >= 1 else None
-        if len(cur.children) != 1:
-            return None
-        (cur,) = cur.children
-        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +383,10 @@ class SurfaceSpec(Record):
 
     def is_countable(self) -> bool:
         """No Cantor classes anywhere in the end space: no CANTOR root, and
-        no self-accumulating type in the :func:`below` set of a root or
-        subordinate (a self-accumulating type is in its own set)."""
+        no self-accumulating node in the tree of a root or subordinate."""
         if any(m is CANTOR for _, m in self.roots):
             return False
-        return not any(u.self_accumulating
-                       for t, _ in self.roots + self.subordinates
-                       for u in below(canonicalize(t)))
+        return not any(t._cantor for t, _ in self.roots + self.subordinates)
 
 
 def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
@@ -451,7 +437,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
             diags.append("root multiplicity must be a positive integer or "
                          "CANTOR: %s" % format_type(ct))
             continue
-        if (m is CANTOR or ct.self_accumulating) and not ct.is_puncture():
+        if (m is CANTOR or ct.self_accumulating) and ct is not PUNCTURE:
             # a Cantor class accumulates on itself, so marker and flag imply
             # each other; normalize to flag-set + CANTOR.  A Cantor class of
             # punctures keeps its type and is diagnosed below.
@@ -462,7 +448,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     extra_p = s.extra_punctures
     if s.extra_punctures < 0 or s.extra_genus < 0:
         diags.append("extra punctures and genus must be nonnegative")
-    for ct in [t for t in roots if t.is_puncture()]:
+    for ct in [t for t in roots if t is PUNCTURE]:
         m = roots.pop(ct)
         if m is CANTOR:
             diags.append("a Cantor class of isolated punctures is not a "
@@ -479,7 +465,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
             diags.append("subordinate count must be a positive integer: %s"
                          % format_type(ct))
             continue
-        if ct.is_puncture():
+        if ct is PUNCTURE:
             extra_p += n
             continue
         if any(ct == r or ct in below(r) for r in roots):
@@ -490,7 +476,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     if extra_p and any(PUNCTURE in below(r) for r in roots):
         extra_p = 0
     genus = s.extra_genus
-    if genus and any(in_EG(r) for r in roots):
+    if genus and any(r._genus for r in roots):
         genus = 0
 
     out = SurfaceSpec(
@@ -546,6 +532,6 @@ def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
     pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
     c = max((len(e_cp(s, a, b)) for a, b in pairs), default=0)
     m_iso = sum(1 for t, m in s.roots
-                if m is not CANTOR and not t.is_puncture())
+                if m is not CANTOR and t is not PUNCTURE)
     g0 = frozenset(t for t in types if t.direct_genus)
     return InvariantBundle(M=len(types), C=c, M_iso=m_iso, G0=g0)
