@@ -37,6 +37,7 @@ from .endspace import (
     format_type,
     immediate_predecessors,
     invariant_bundle,
+    require_valid,
     sort_key,
 )
 
@@ -84,17 +85,6 @@ def validate(s: SurfaceSpec) -> ValidationResult:
         notes += ("a Cantor class accumulated by further Cantor classes: "
                   "outside the worked examples, general rules applied",)
     return ValidationResult(True, (), notes, canonical)
-
-
-def require_valid(s: SurfaceSpec) -> SurfaceSpec:
-    """The canonical form of s; a spec marked ``validated`` is returned
-    unchanged."""
-    if s.validated:
-        return s
-    canonical, diags = canonicalize_spec(s)
-    if diags:
-        raise SpecError(diags)
-    return canonical
 
 
 def self_similarity(s: SurfaceSpec) -> SelfSimilarity:

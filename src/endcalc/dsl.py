@@ -50,7 +50,6 @@ from .classify import (
     ClassificationReport,
     NOT_APPLICABLE,
     ObstructionWitness,
-    require_valid,
 )
 from .endspace import (
     CANTOR,
@@ -61,6 +60,7 @@ from .endspace import (
     SurfaceSpec,
     format_type,
     planar_tower,
+    require_valid,
 )
 
 KEYWORDS = {"type", "root", "sub", "punctures", "genus",

@@ -28,9 +28,10 @@ arguments names its fields once, in ``_fields`` (with ``_defaults`` for
 the trailing ones), and gets a generated ``__init__``.
 
 Trust contract: :func:`canonicalize_spec` marks its output ``validated``
-when it found no diagnostics, and :mod:`endcalc.classify` trusts a marked
+when it found no diagnostics, and :func:`require_valid` trusts a marked
 spec as canonical.  The constructor cannot set the marker, and it plays
-no part in equality, hashing or repr.
+no part in equality, hashing or repr.  :func:`e_cp`,
+:func:`invariant_bundle` and :mod:`endcalc.classify` accept a raw spec.
 """
 
 from __future__ import annotations
@@ -389,25 +390,6 @@ class SurfaceSpec(Record):
         return not any(t._cantor for t, _ in self.roots + self.subordinates)
 
 
-def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
-    """All canonical types mentioned in roots and subordinates, transitively
-    (a plain walk: the tests' reference for ``SurfaceSpec.is_countable``)."""
-    seen: set = set()
-
-    def walk(t: EndType) -> None:
-        if t in seen:
-            return
-        seen.add(t)
-        for c in t.children:
-            walk(c)
-
-    for t, _ in s.roots:
-        walk(canonicalize(t))
-    for t, _ in s.subordinates:
-        walk(canonicalize(t))
-    return frozenset(seen)
-
-
 def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     """Normal form of a surface description, plus diagnostics.
 
@@ -493,6 +475,17 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     return out, diags
 
 
+def require_valid(s: SurfaceSpec) -> SurfaceSpec:
+    """The canonical form of s; a spec marked ``validated`` is returned
+    unchanged."""
+    if s.validated:
+        return s
+    canonical, diags = canonicalize_spec(s)
+    if diags:
+        raise SpecError(diags)
+    return canonical
+
+
 def _merge_mult(a: Optional[Multiplicity], b: Multiplicity) -> Multiplicity:
     if a is None:
         return b
@@ -509,6 +502,7 @@ def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
     distinct ends of that class, which requires multiplicity >= 2 or a
     Cantor class.
     """
+    s = require_valid(s)
     ca, cb = canonicalize(a), canonicalize(b)
     ma = s.multiplicity(ca)
     s.multiplicity(cb)  # both arguments must be maximal classes
@@ -526,6 +520,7 @@ class InvariantBundle(Record):
 
 
 def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
+    s = require_valid(s)
     types = s.root_types()
     # the unordered pairs of maximal ends that can cobound a shift strip
     pairs = list(itertools.combinations(types, 2))

@@ -7,7 +7,7 @@ import itertools
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -52,6 +52,25 @@ def random_tree(rng: random.Random, depth: int, max_children: int = 3,
 def random_canonical_tree(rng: random.Random, depth: int = 3,
                           **kw) -> EndType:
     return canonicalize(random_tree(rng, depth, **kw))
+
+
+def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
+    """All canonical types mentioned in roots and subordinates, transitively
+    (a plain walk: the reference for ``SurfaceSpec.is_countable``)."""
+    seen: set = set()
+
+    def walk(t: EndType) -> None:
+        if t in seen:
+            return
+        seen.add(t)
+        for c in t.children:
+            walk(c)
+
+    for t, _ in s.roots:
+        walk(canonicalize(t))
+    for t, _ in s.subordinates:
+        walk(canonicalize(t))
+    return frozenset(seen)
 
 
 def random_spec(rng: random.Random,

@@ -8,21 +8,23 @@ canonical classes of ``enumerate_trees(3, 3, 3)``, each of multiplicity
 1, 2 or CANTOR, with 0 to 2 extra punctures and 0 or 1 extra genus.  The
 witness model check (acceptance criterion 8) reads nothing from the spec
 but a multiplicity, so it cannot notice a character the surface does not
-have; the checks here decide each character, and ``C``, ``|G0|`` and the
-flux rank, from the raw trees and the oracle's preorder, without
-``e_cp`` or ``immediate_predecessors``.  Every NO witness also passes that
+have; the checks here decide each character, and ``C``, ``|G0|``,
+``M_iso``, the flux rank and the handle-pair count, from the raw trees
+and the oracle's preorder, without ``e_cp`` or
+``immediate_predecessors``.  Every NO witness also passes that
 model check, every spec round-trips through its text, every report passes
 the cross-field checks, and the specs of the countable gap are pinned.
 """
 
 import collections
 import hashlib
+import math
 
 import pytest
 
 from endcalc.classify import SelfSimilarity, Verdict, self_similarity
 from endcalc.dsl import parse, spec_to_text
-from endcalc.endspace import CANTOR, format_type
+from endcalc.endspace import CANTOR, PUNCTURE, format_type
 from endcalc.oracle import oracle_equivalent, oracle_preceq
 from conftest import check_witness_on_models, load_census_tool
 
@@ -72,6 +74,12 @@ def test_census_countable_gap_pinned(census):
     gap = [s for s, v, _ in census
            if v.rule == "noncyclic-quotient-unavailable"]
     assert len(gap) == 41
+    # (roots, punctures): two simple maximal ends and no punctures, or one
+    # and 1 to 4 punctures
+    assert all(m == 1 for s in gap for _, m in s.roots)
+    assert collections.Counter(
+        (len(s.roots), s.extra_punctures) for s in gap) == {
+        (2, 0): 29, (1, 1): 3, (1, 2): 3, (1, 3): 3, (1, 4): 3}
     assert hashlib.sha256("\0".join(
         sorted(spec_to_text(s) for s in gap)).encode()).hexdigest() == (
         "9599d028fbb6b7eed316cc043967e2e276aa478caf136f976f559e8ab9aed466")
@@ -147,8 +155,9 @@ def _predecessor_classes(x) -> list:
 
 
 def _oracle_invariants(s, preds) -> tuple:
-    """(C, |G0|, flux rank) of a spec, decided on the root trees by the
-    oracle; the flux rank is None when a Cantor class occurs."""
+    """(C, |G0|, M_iso, flux rank, handle pairs) of a spec, decided on the
+    root trees by the oracle; the flux rank is None, and the handle pairs
+    0, when a Cantor class occurs."""
     roots = s.roots
     pairs = [(a, b) for i, (a, _) in enumerate(roots)
              for b, _ in roots[i + 1:]]
@@ -156,9 +165,12 @@ def _oracle_invariants(s, preds) -> tuple:
     c = max((sum(not z.self_accumulating and _immediate(z, b)
                  for z in preds[a]) for a, b in pairs), default=0)
     g0 = sum(_direct_genus(t) for t, _ in roots)
+    m_iso = sum(m is not CANTOR and not oracle_equivalent(t, PUNCTURE)
+                for t, m in roots)
     if any(m is CANTOR or any(p.self_accumulating for p in _positions(t))
            for t, m in roots):
-        return c, g0, None
+        return c, g0, m_iso, None, 0
+    handles = math.comb(sum(m for t, m in roots if _direct_genus(t)), 2)
     admits = []  # [class representative, maximal ends admitting it]
     for t, m in roots:
         for z in preds[t]:
@@ -168,7 +180,7 @@ def _oracle_invariants(s, preds) -> tuple:
                     break
             else:
                 admits.append([z, m])
-    return c, g0, sum(n - 1 for _, n in admits)
+    return c, g0, m_iso, sum(n - 1 for _, n in admits), handles
 
 
 def test_counting_invariants_rederived_by_the_oracle(census):
@@ -179,8 +191,9 @@ def test_counting_invariants_rederived_by_the_oracle(census):
     for s, _, b in census:
         i = b.invariants
         expected = _oracle_invariants(s, preds)
-        ranks += expected[2] is not None
-        if (i.C, len(i.G0), b.flux_rank) != expected:
+        ranks += expected[3] is not None
+        if (i.C, len(i.G0), i.M_iso, b.flux_rank,
+                b.handle_pair_generators) != expected:
             wrong.append((spec_to_text(s), expected))
     assert wrong == []
     assert ranks == 162  # the countable specs

@@ -31,6 +31,7 @@ from endcalc.endspace import (
     CANTOR,
     CANTOR_LEAF,
     LOCH_NESS,
+    MAX_DEPTH,
     PUNCTURE,
     SpecError,
     SurfaceSpec,
@@ -38,10 +39,11 @@ from endcalc.endspace import (
     flute,
     node,
     planar_tower,
-    type_closure,
 )
 from endcalc.dsl import emit_report, parse
-from conftest import check_witness_on_models, random_spec, random_tree
+from endcalc.oracle import enumerate_trees
+from conftest import (check_witness_on_models, random_spec, random_tree,
+                      type_closure)
 
 FLUTE = flute()
 BLOOM = node(genus=True, cantor=True)
@@ -333,6 +335,7 @@ class TestTrustContract:
             return canonicalize_spec(s)
 
         monkeypatch.setattr(cl, "canonicalize_spec", counting)
+        monkeypatch.setattr(endspace, "canonicalize_spec", counting)
         r = classify(parse("root omega^2 + 1 * 2\nroot acc(genus,[]) * 3\n"
                            "punctures 2\n"))
         assert r.verdict.verdict is Verdict.NO
@@ -357,7 +360,6 @@ class TestTrustContract:
 
         for name in ("validate", "invariant_bundle", "tng_verdict"):
             counting(name)
-        monkeypatch.setattr(endspace, "type_closure", None)  # never walked
         for fmt in ("JSON", "TEXT"):
             emit_report(classify(parse(text)), fmt)
         assert sorted(calls) == sorted(
@@ -393,6 +395,17 @@ class TestTrustContract:
             seen.add((expected, bool(subs)))
         assert seen == {(True, True), (True, False), (False, True),
                         (False, False)}
+        for t in enumerate_trees(5, 3, 3):
+            s = SurfaceSpec(roots=((t, 1),))
+            assert s.is_countable() == (not any(
+                u.self_accumulating for u in type_closure(s)))
+        # a Cantor class at the foot of a tower, past MAX_DEPTH too
+        for k in (1, MAX_DEPTH, MAX_DEPTH + 1):
+            t = CANTOR_LEAF
+            for _ in range(k):
+                t = node(children=[t])
+            assert not SurfaceSpec(roots=((t, 1),)).is_countable()
+            assert SurfaceSpec(roots=((planar_tower(k), 1),)).is_countable()
 
     def test_replaced_spec_is_not_trusted(self):
         parsed = parse("root omega^2 + 1")

@@ -16,6 +16,7 @@ from endcalc.endspace import (
     LOCH_NESS,
     MAX_DEPTH,
     PUNCTURE,
+    SpecError,
     SurfaceSpec,
     below,
     canonicalize,
@@ -30,14 +31,35 @@ from endcalc.endspace import (
     node,
     planar_tower,
     preceq,
-    type_closure,
 )
 from endcalc.dsl import parse
 from endcalc.oracle import enumerate_trees
-from conftest import random_canonical_tree, random_tree
+from conftest import random_canonical_tree, random_tree, type_closure
 
 
 FLUTE = flute()
+
+
+def _chain(base, k: int):
+    """k plain nodes, each with the one child below it, over base."""
+    for _ in range(k):
+        base = node(children=[base])
+    return base
+
+
+def _tower_height(t):
+    """The height of a pure planar tower over a puncture, else None (a
+    plain walk)."""
+    if t.direct_genus or t.self_accumulating or len(t.children) > 1:
+        return None
+    for c in t.children:
+        k = _tower_height(c)
+        return None if k is None else k + 1
+    return 0
+
+
+def _tower_name(k: int) -> str:
+    return ("puncture", "omega+1")[k] if k < 2 else "omega^%d+1" % k
 
 
 class TestInterning:
@@ -230,6 +252,16 @@ class TestInEG:
     def test_accumulated_genus_end(self):
         assert in_EG(canonicalize(node(children=[LOCH_NESS])))
 
+        def genus(t):  # the plain walk
+            return t.direct_genus or any(genus(c) for c in t.children)
+
+        for t in enumerate_trees(5, 3, 3):
+            assert in_EG(t) == genus(t)
+            assert in_EG(canonicalize(t)) == genus(t)
+        for k in range(MAX_DEPTH + 1):
+            assert in_EG(_chain(LOCH_NESS, k))
+            assert not in_EG(planar_tower(k))
+
 
 class TestImmediatePredecessors:
     def test_flute(self):
@@ -415,6 +447,35 @@ class TestInvariantBundle:
         assert b.M_iso <= b.M
         assert all(t.direct_genus for t in b.G0)
 
+    def test_raw_spec_gives_the_canonical_answer(self, rng):
+        # a raw root tree, an absorbed root and two equal roots: the
+        # invariants of the canonical form
+        named = [SurfaceSpec(roots=((node(children=[PUNCTURE, FLUTE]), 2),)),
+                 SurfaceSpec(roots=((PUNCTURE, 1), (FLUTE, 1))),
+                 SurfaceSpec(roots=((FLUTE, 1), (FLUTE, 1)))]
+        assert [(b.M, b.C) for b in map(invariant_bundle, named)] == [
+            (1, 1), (1, 0), (1, 1)]
+        outcomes = set()
+        for raw in named + [SurfaceSpec(
+                roots=tuple((random_tree(rng, rng.randint(0, 3)),
+                             rng.choice((1, 2, CANTOR)))
+                            for _ in range(rng.randint(1, 3))),
+                extra_punctures=rng.choice((0, 1, 2)))
+                for _ in range(300)]:
+            s, diags = canonicalize_spec(raw)
+            outcomes.add(bool(diags))
+            if diags:
+                with pytest.raises(SpecError):
+                    invariant_bundle(raw)
+                continue
+            assert invariant_bundle(raw) == invariant_bundle(s)
+            types = s.root_types()
+            pairs = list(itertools.combinations(types, 2))
+            pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
+            for a, b in pairs:
+                assert e_cp(raw, a, b) == e_cp(s, a, b)
+        assert outcomes == {True, False}
+
 
 class TestFormatType:
     def test_names(self):
@@ -423,3 +484,15 @@ class TestFormatType:
         assert format_type(planar_tower(3)) == "omega^3+1"
         assert format_type(LOCH_NESS) == "acc(genus,[])"
         assert format_type(CANTOR_LEAF) == "cantor()"
+        # towers, and only towers, get ordinal names
+        for t in enumerate_trees(5, 3, 3):
+            k = _tower_height(canonicalize(t))
+            if k is None:
+                assert format_type(t).startswith(("acc(", "cantor("))
+            else:
+                assert format_type(t) == _tower_name(k)
+        for k in range(MAX_DEPTH + 1):
+            assert format_type(planar_tower(k)) == _tower_name(k)
+        for k in range(MAX_DEPTH):
+            genus = node(genus=True, children=[planar_tower(k)])
+            assert format_type(genus) == "acc(genus,[%s])" % _tower_name(k)
