@@ -35,7 +35,6 @@ from .endspace import (
     canonicalize_spec,
     e_cp,
     format_type,
-    immediate_predecessors,
     invariant_bundle,
     require_valid,
     sort_key,
@@ -259,7 +258,7 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                   "topologically normally generated is an open question",)
     if len(cantor_roots) == len(finite_roots) == 1 and not s.extra_punctures:
         (u, m), = finite_roots
-        if m == 1 and len(immediate_predecessors(u)) + u.direct_genus <= 1:
+        if m == 1 and len(u.children) + u.direct_genus <= 1:
             return TNGVerdict(Verdict.YES, RULE_CANTOR_PLUS_END, notes=(
                 "normal generator: a shift toward the simple isolated end "
                 "composed with a half-space translation",))
@@ -314,7 +313,7 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
     if s.is_countable():
         admits: dict = {}
         for t, m in s.roots:
-            for z in immediate_predecessors(t):
+            for z in t.children:  # the immediate predecessors
                 admits[z] = admits.get(z, 0) + m
         flux_rank = sum(n - 1 for n in admits.values())
         handle_pairs = math.comb(sum(m for t, m in s.roots if t.direct_genus),

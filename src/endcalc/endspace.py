@@ -16,6 +16,8 @@ planar tower height are computed from its children when it is built.
 :func:`canonicalize`, :func:`below` and :func:`format_type` recurse once
 per level; they and :func:`in_EG` raise ``ValueError`` on a tree deeper
 than :data:`MAX_DEPTH`, and the repr of such a tree shows only its depth.
+The module memoizes only :func:`canonicalize`, :func:`below` and
+:func:`sort_key`; immediate predecessors are the canonical children.
 
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
@@ -27,11 +29,12 @@ hashed and printed by their ``_fields``.  A record that only stores its
 arguments names its fields once, in ``_fields`` (with ``_defaults`` for
 the trailing ones), and gets a generated ``__init__``.
 
-Trust contract: :func:`canonicalize_spec` marks its output ``validated``
-when it found no diagnostics, and :func:`require_valid` trusts a marked
-spec as canonical.  The constructor cannot set the marker, and it plays
-no part in equality, hashing or repr.  :func:`e_cp`,
-:func:`invariant_bundle` and :mod:`endcalc.classify` accept a raw spec.
+Trust contract: :func:`canonicalize_spec` output has no subordinates; it
+is marked ``validated`` when there were no diagnostics, and
+:func:`require_valid` trusts a marked spec as canonical.  The constructor
+cannot set the marker, which plays no part in equality, hashing or repr.
+:func:`e_cp`, :func:`invariant_bundle` and :mod:`endcalc.classify` accept
+a raw spec.
 """
 
 from __future__ import annotations
@@ -240,15 +243,15 @@ def equivalent(x: EndType, y: EndType) -> bool:
     return canonicalize(x) == canonicalize(y)
 
 
-@functools.lru_cache(maxsize=None)
 def immediate_predecessors(x: EndType) -> FrozenSet[EndType]:
-    """Maximal types strictly below x: end types only.
+    """Maximal types strictly below x: the children of its canonical form.
 
-    Handles are not end types.  Handles accumulating to x with no
-    genus-accumulated type below are ``canonicalize(x).direct_genus``.
+    Each type strictly below x lies at or below a child, and a canonical
+    form has absorbed every child lying below a sibling.  Handles are not
+    end types: those accumulating to x with no genus-accumulated type
+    below are ``canonicalize(x).direct_genus``.
     """
-    cx = canonicalize(x)
-    return frozenset(_maximal([t for t in below(cx) if t != cx]))
+    return canonicalize(x).children
 
 
 def format_type(t: EndType) -> str:
@@ -376,8 +379,9 @@ class SurfaceSpec(Record):
         return tuple(t for t, _ in self.roots)
 
     def multiplicity(self, t: EndType) -> Multiplicity:
+        """The multiplicity of t's class among the canonical roots."""
         ct = canonicalize(t)
-        for rt, m in self.roots:
+        for rt, m in require_valid(self).roots:
             if rt == ct:
                 return m
         raise KeyError(f"not a root type: {format_type(t)}")
@@ -407,8 +411,8 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
 
     Diagnostics (fatal) are returned instead of raised so the validator can
     report all of them at once.  Every subordinate that is not absorbed
-    is diagnosed, so output without diagnostics has no subordinates; it
-    is marked ``validated``.
+    is diagnosed, so the output has no subordinates; output without
+    diagnostics is marked ``validated``.
     """
     diags: list = []
 
@@ -421,9 +425,10 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
             continue
         if (m is CANTOR or ct.self_accumulating) and ct is not PUNCTURE:
             # a Cantor class accumulates on itself, so marker and flag imply
-            # each other; normalize to flag-set + CANTOR.  A Cantor class of
-            # punctures keeps its type and is diagnosed below.
-            ct = canonicalize(EndType(ct.direct_genus, True, ct.children))
+            # each other; normalize to flag-set + CANTOR (the flag leaves a
+            # canonical node canonical).  A Cantor class of punctures keeps
+            # its type and is diagnosed below.
+            ct = EndType(ct.direct_genus, True, ct.children)
             m = CANTOR
         roots[ct] = _merge_mult(roots.get(ct), m)
 
@@ -440,20 +445,16 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
 
     roots = {ct: roots[ct] for ct in _maximal(roots)}  # absorb dominated
 
-    subs: dict = {}
     for t, n in s.subordinates:
         ct = canonicalize(t)
         if not isinstance(n, int) or n < 1:
             diags.append("subordinate count must be a positive integer: %s"
                          % format_type(ct))
-            continue
-        if ct is PUNCTURE:
+        elif ct is PUNCTURE:
             extra_p += n
-            continue
-        if any(ct == r or ct in below(r) for r in roots):
-            continue  # infinite supply below a root absorbs it
-        subs[ct] = subs.get(ct, 0) + n
-        diags.append("subordinate not below any root: %s" % format_type(ct))
+        elif not any(ct == r or ct in below(r) for r in roots):
+            diags.append("subordinate not below any root: %s"
+                         % format_type(ct))
 
     if extra_p and any(PUNCTURE in below(r) for r in roots):
         extra_p = 0
@@ -463,7 +464,6 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
 
     out = SurfaceSpec(
         roots=tuple(sorted(roots.items(), key=lambda rm: sort_key(rm[0]))),
-        subordinates=tuple(sorted(subs.items(), key=lambda tn: sort_key(tn[0]))),
         extra_punctures=extra_p,
         extra_genus=genus,
     )
@@ -509,7 +509,7 @@ def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
     if ca == cb and ma is not CANTOR and ma < 2:
         raise ValueError("no second end of class %s (multiplicity 1)"
                          % format_type(ca))
-    shared = immediate_predecessors(ca) & immediate_predecessors(cb)
+    shared = ca.children & cb.children  # the immediate predecessors
     return frozenset(t for t in shared if not t.self_accumulating)
 
 
@@ -526,7 +526,6 @@ def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
     pairs = list(itertools.combinations(types, 2))
     pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
     c = max((len(e_cp(s, a, b)) for a, b in pairs), default=0)
-    m_iso = sum(1 for t, m in s.roots
-                if m is not CANTOR and t is not PUNCTURE)
+    m_iso = sum(1 for _, m in s.roots if m is not CANTOR)
     g0 = frozenset(t for t in types if t.direct_genus)
     return InvariantBundle(M=len(types), C=c, M_iso=m_iso, G0=g0)

@@ -30,6 +30,7 @@ from endcalc.endspace import (
     flute,
     node,
     planar_tower,
+    require_valid,
 )
 from endcalc.flux import (
     EndPerm,
@@ -375,6 +376,11 @@ class TestRoundTrip:
         for t in texts:
             s = parse(t)
             assert parse(spec_to_text(s)) == s
+        # a raw spec echoes its subordinates, and parsing absorbs them
+        raw = SurfaceSpec(roots=((planar_tower(2), 1),),
+                          subordinates=((flute(), 3),))
+        assert spec_to_text(raw) == "root omega^2+1\nsub omega+1 * 3\n"
+        assert parse(spec_to_text(raw)) == require_valid(raw)
 
     def test_random_specs(self, rng):
         for _ in range(100):
@@ -531,6 +537,8 @@ class TestLiterals:
         assert parse_perm_literal("d=0 table={0:1,1:0}") == \
             EndPerm(0, {0: 1, 1: 0})
         assert parse_perm_literal("perm d=-2 table={}") == EndPerm(-2)
+        assert parse_perm_literal("d=0 table={0:1,1:0,}") == \
+            EndPerm(0, {0: 1, 1: 0})
 
     def test_perm_errors(self):
         with pytest.raises(ValueError):

@@ -286,11 +286,21 @@ class TestImmediatePredecessors:
             for a, b in itertools.combinations(preds, 2):
                 assert not preceq(a, b) and not preceq(b, a)
 
-    def test_memo_agrees_with_the_function(self):
-        for x in enumerate_trees(4, 3, 3):
+    def test_are_the_maximal_types_strictly_below(self):
+        def reference(x):
+            cx = canonicalize(x)
+            rest = below(cx) - {cx}
+            return frozenset(t for t in rest if not any(
+                t2 != t and t in below(t2) for t2 in rest))
+
+        rng = random.Random(17)
+        trees = list(enumerate_trees(5, 3, 3))
+        trees += [random_tree(rng, rng.randint(0, 5)) for _ in range(2000)]
+        for x in trees:
             preds = immediate_predecessors(x)
-            assert preds == immediate_predecessors.__wrapped__(x)
+            assert preds == reference(x)
             assert all(type(p) is EndType for p in preds)
+        assert not hasattr(immediate_predecessors, "cache_info")
 
 
 class TestSurfaceSpec:
@@ -358,7 +368,12 @@ class TestSurfaceSpec:
         assert any("subordinate not below any root" in d for d in diags)
 
     def test_validated_output_has_no_subordinates(self):
-        # classify never looks at subordinates: it relies on this
+        # classify never looks at subordinates: it relies on this.  A
+        # diagnosed output has none either.
+        raw = SurfaceSpec(roots=((FLUTE, 1),), subordinates=((LOCH_NESS, 1),))
+        s, diags = canonicalize_spec(raw)
+        assert diags == ["subordinate not below any root: acc(genus,[])"]
+        assert s.subordinates == () and not s.validated
         rng = random.Random(31)
         outcomes = set()
         for _ in range(3000):
@@ -370,8 +385,7 @@ class TestSurfaceSpec:
                          for _ in range(rng.randint(1, 3)))
             s, diags = canonicalize_spec(
                 SurfaceSpec(roots=roots, subordinates=subs))
-            if not diags:
-                assert s.subordinates == () and s.validated
+            assert s.subordinates == () and s.validated == (not diags)
             outcomes.add(bool(diags))
         assert outcomes == {True, False}
 
@@ -450,11 +464,14 @@ class TestInvariantBundle:
     def test_raw_spec_gives_the_canonical_answer(self, rng):
         # a raw root tree, an absorbed root and two equal roots: the
         # invariants of the canonical form
-        named = [SurfaceSpec(roots=((node(children=[PUNCTURE, FLUTE]), 2),)),
+        raw_tree = node(children=[PUNCTURE, FLUTE])
+        named = [SurfaceSpec(roots=((raw_tree, 2),)),
                  SurfaceSpec(roots=((PUNCTURE, 1), (FLUTE, 1))),
                  SurfaceSpec(roots=((FLUTE, 1), (FLUTE, 1)))]
         assert [(b.M, b.C) for b in map(invariant_bundle, named)] == [
             (1, 1), (1, 0), (1, 1)]
+        # a root given raw is found by its class
+        assert named[0].multiplicity(raw_tree) == 2
         outcomes = set()
         for raw in named + [SurfaceSpec(
                 roots=tuple((random_tree(rng, rng.randint(0, 3)),
@@ -474,6 +491,8 @@ class TestInvariantBundle:
             pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
             for a, b in pairs:
                 assert e_cp(raw, a, b) == e_cp(s, a, b)
+            for t in types:
+                assert raw.multiplicity(t) == s.multiplicity(t)
         assert outcomes == {True, False}
 
 

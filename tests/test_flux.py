@@ -7,7 +7,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from endcalc import flux
 from endcalc.flux import (
+    SWINDLE_PERMUTATIONS,
     EndPerm,
     FiniteExcluded,
     IDENTITY,
@@ -51,7 +53,7 @@ class TestEndPerm:
     def test_normalizes_trivial_entries(self):
         f = EndPerm(2, {5: 7})
         assert f.table == {}
-        assert f == full_shift(2)
+        assert f == full_shift(2) and hash(f) == hash(full_shift(2))
 
     def test_compose_identity(self):
         f = EndPerm(3, {-5: -1, -4: -2})
@@ -245,6 +247,8 @@ class TestMultiEndPerm:
         assert m.apply(0, 0) == (2, 0)
         assert m.apply(0, 5) == (0, 4)
         assert m.apply(2, 5) == (2, 6)
+        with pytest.raises(ValueError, match="two distinct rays"):
+            ray_shift(3, 1, 1)
 
     def test_compose_matches_pointwise(self, rng):
         for _ in range(150):
@@ -255,6 +259,10 @@ class TestMultiEndPerm:
             for r in range(n):
                 for i in range(12):
                     assert fg.apply(r, i) == f.apply(*g.apply(r, i))
+        twice = mcompose(ray_swap(3, 0, 1), ray_swap(3, 0, 1))
+        assert twice == MultiEndPerm(3)
+        assert hash(twice) == hash(MultiEndPerm(3))
+        assert twice != ray_swap(3, 0, 1) and twice != IDENTITY
 
     def test_invert_matches_pointwise(self, rng):
         for _ in range(150):
@@ -443,6 +451,8 @@ class TestAgainstReference:
     def test_theta_tilde_rejects_mixed_ray_counts(self):
         with pytest.raises(ValueError, match="ray counts differ"):
             theta_tilde(ray_swap(2, 0, 1), [ray_swap(3, 0, 1)])
+        with pytest.raises(ValueError, match="ray counts differ"):
+            mcompose(ray_swap(2, 0, 1), ray_swap(3, 0, 1))
 
     def test_swindle_and_repetition_map(self):
         cases = list(_swindle_cases())
@@ -520,3 +530,57 @@ class TestAgainstReference:
             "table entries must stay on the rays",
             "ray N index N maps below the ray base",
             "not injective at (N, N)", "not surjective at (N, N)"}, kinds
+
+
+def _kinds(errors):
+    """The distinct messages of a suite, numbers and reprs left out."""
+    return {re.split(r" (?:at|for|\(trial)|: ", e)[0] for e in errors}
+
+
+class TestSuitesReportViolations:
+    """Each suite returns its message lines when the law it checks fails."""
+
+    def test_phi(self, monkeypatch):
+        calls = itertools.count()  # a different flux on every call
+        monkeypatch.setattr(flux, "phi", lambda f, c=0: next(calls))
+        assert _kinds(suite_phi(10, 42)) == {
+            "full shift must have flux 1", "additivity failed",
+            "inverse flux failed", "conjugation invariance failed",
+            "cut independence failed"}
+
+    def test_normalize(self, monkeypatch):
+        monkeypatch.setattr(flux, "verify_normalization",
+                            lambda s, t, window: False)
+        errors = suite_normalize(7, 42)
+        assert len(errors) == 7
+        assert _kinds(errors) == {"normalization failed"}
+        assert errors[6].endswith("(trial 6)")
+
+    def test_swindle(self, monkeypatch):
+        monkeypatch.setattr(flux, "swindle_check", lambda f, k, window: False)
+        monkeypatch.setattr(flux, "_check_repetition", lambda f, k: None)
+        errors = flux.suite_swindle(3)
+        assert _kinds(errors) == {"overlap not rejected", "swindle failed"}
+        failed = [e for e in errors if e.startswith("swindle failed")]
+        assert len(failed) == SWINDLE_PERMUTATIONS
+        # an overlapping map is checked at k + 1, right after its report
+        for i, e in enumerate(errors):
+            if e.startswith("overlap not rejected"):
+                k = int(re.match(r"overlap not rejected: k=(\d+)", e)[1])
+                assert errors[i + 1].startswith("swindle failed: k=%d"
+                                                % (k + 1))
+
+    def test_theta(self, monkeypatch):
+        calls = itertools.count()
+        monkeypatch.setattr(flux, "theta_tilde",
+                            lambda f, designated: (next(calls) % 2, 0))
+        errors = suite_theta(5, 42)
+        assert len(errors) == 1
+        assert errors[0].startswith("theta_tilde not additive at trial 0 "
+                                    "(MultiEndPerm(n=")
+        # additive, but a redundant generating set changes the value
+        monkeypatch.setattr(
+            flux, "theta_tilde",
+            lambda f, designated: (0, int(len(designated) >= f.n)))
+        assert suite_theta(5, 42) == [
+            "theta_tilde depends on twist factorization at trial 0"]
