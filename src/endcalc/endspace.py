@@ -11,13 +11,13 @@ End types are interned (hash-consed): structurally equal trees are one
 and the same immutable object, so equality and hashing are by identity
 and cost the same at any depth.  Build a variant of a node with the
 :class:`EndType` constructor (or :func:`node`), never by mutation.
-A node's depth, genus accumulation, Cantor class at or below it and pure
-planar tower height are computed from its children when it is built.
-:func:`canonicalize`, :func:`below` and :func:`format_type` recurse once
-per level; they and :func:`in_EG` raise ``ValueError`` on a tree deeper
-than :data:`MAX_DEPTH`, and the repr of such a tree shows only its depth.
-The module memoizes only :func:`canonicalize`, :func:`below` and
-:func:`sort_key`; immediate predecessors are the canonical children.
+A node's depth, genus accumulation, Cantor class at or below it, pure
+planar tower height and sort key are computed from its children when it
+is built.  :func:`canonicalize`, :func:`below` and :func:`format_type`
+recurse once per level; they, :func:`in_EG` and :func:`sort_key` raise
+``ValueError`` past :data:`MAX_DEPTH`, and the repr of a deeper tree shows
+only its depth.  The module memoizes only :func:`canonicalize` and
+:func:`below`; immediate predecessors are the canonical children.
 
 Multiplicities of maximal classes live in :class:`SurfaceSpec`, not in
 the trees: a maximal class is either finite (a positive integer) or a
@@ -64,9 +64,9 @@ CANTOR = _Marker("CANTOR")
 Multiplicity = Union[int, _Marker]
 
 #: Deepest tree accepted by :func:`canonicalize`, :func:`below`,
-#: :func:`in_EG` and :func:`format_type`, and built by the parser.  All but
-#: :func:`in_EG` recurse once per level: depth 300 fits the default
-#: recursion limit, 400 does not.
+#: :func:`in_EG`, :func:`sort_key` and :func:`format_type`, and built by
+#: the parser.  It bounds the recursion of the walks, and a node has a
+#: sort key only up to this depth.
 MAX_DEPTH = 256
 
 #: (direct_genus, self_accumulating, children) -> the one node with them.
@@ -94,7 +94,7 @@ class EndType:
     """
 
     __slots__ = ("direct_genus", "self_accumulating", "children", "_depth",
-                 "_genus", "_cantor", "_tower")
+                 "_genus", "_cantor", "_tower", "_key")
 
     def __new__(cls, direct_genus: bool = False,
                 self_accumulating: bool = False,
@@ -107,8 +107,8 @@ class EndType:
             init(t, "direct_genus", direct_genus)
             init(t, "self_accumulating", self_accumulating)
             init(t, "children", children)
-            init(t, "_depth",
-                 1 + max(c._depth for c in children) if children else 0)
+            depth = 1 + max(c._depth for c in children) if children else 0
+            init(t, "_depth", depth)
             # genus accumulates here; a Cantor class lies at or below here
             init(t, "_genus", direct_genus or any(c._genus for c in children))
             init(t, "_cantor",
@@ -120,6 +120,10 @@ class EndType:
                 for c in children:  # the one child, if any
                     tower = None if c._tower is None else c._tower + 1
             init(t, "_tower", tower)
+            # none past MAX_DEPTH: comparing deeper keys exhausts the stack
+            init(t, "_key", None if depth > MAX_DEPTH else (
+                depth, len(children), direct_genus, self_accumulating,
+                tuple(sorted([c._key for c in children]))))
             # setdefault, not assignment: of two threads building the same
             # node, both must get the one that was stored
             t = _INTERNED.setdefault(key, t)
@@ -157,11 +161,6 @@ LOCH_NESS = EndType(direct_genus=True)
 CANTOR_LEAF = EndType(self_accumulating=True)
 
 
-def flute() -> EndType:
-    """The planar end accumulated by punctures only."""
-    return node(children=[PUNCTURE])
-
-
 def planar_tower(k: int) -> EndType:
     """Depth-k planar tower over punctures (k = 1 is the flute end)."""
     if k < 0:
@@ -172,17 +171,17 @@ def planar_tower(k: int) -> EndType:
     return t
 
 
-@functools.lru_cache(maxsize=None)
-def sort_key(t: EndType) -> tuple:
-    """Total order on types, used for deterministic output."""
-    return (t.depth(), len(t.children), t.direct_genus, t.self_accumulating,
-            tuple(sorted(sort_key(c) for c in t.children)))
-
-
 def _check_depth(t: EndType) -> None:
     if t.depth() > MAX_DEPTH:
         raise ValueError("type depth %d exceeds MAX_DEPTH (%d)"
                          % (t.depth(), MAX_DEPTH))
+
+
+def sort_key(t: EndType) -> tuple:
+    """Total order on types, used for deterministic output: (depth, number
+    of children, direct_genus, self_accumulating, sorted child keys)."""
+    _check_depth(t)
+    return t._key
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,12 +378,15 @@ class SurfaceSpec(Record):
         return tuple(t for t, _ in self.roots)
 
     def multiplicity(self, t: EndType) -> Multiplicity:
-        """The multiplicity of t's class among the canonical roots."""
+        """The multiplicity of t's class among the canonical roots; t may
+        lack the self-accumulation flag a CANTOR root's type carries."""
+        roots = dict(require_valid(self).roots)
         ct = canonicalize(t)
-        for rt, m in require_valid(self).roots:
-            if rt == ct:
-                return m
-        raise KeyError(f"not a root type: {format_type(t)}")
+        if ct not in roots and ct is not PUNCTURE:  # flagged, it is cantor()
+            ct = EndType(ct.direct_genus, True, ct.children)
+        if ct not in roots:
+            raise KeyError(f"not a root type: {format_type(t)}")
+        return roots[ct]
 
     def is_countable(self) -> bool:
         """No Cantor classes anywhere in the end space: no CANTOR root, and

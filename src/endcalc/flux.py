@@ -544,17 +544,6 @@ def mcompose(f: MultiEndPerm, g: MultiEndPerm) -> MultiEndPerm:
     return MultiEndPerm(n, rho=rho, offsets=offsets, tables=tables)
 
 
-def minvert(f: MultiEndPerm) -> MultiEndPerm:
-    n = f.n
-    rho_inv = _perm_inverse(f.rho)
-    offsets = tuple(-f.offsets[rho_inv[t]] for t in range(n))
-    tables: List[Dict[int, RayEnd]] = [{} for _ in range(n)]
-    for r in range(n):
-        for i, (t, j) in f.tables[r].items():
-            tables[t][j] = (r, i)
-    return MultiEndPerm(n, rho=rho_inv, offsets=offsets, tables=tables)
-
-
 def perm_parity(rho: Sequence[int]) -> int:
     """0 for even, 1 for odd permutations."""
     seen = [False] * len(rho)

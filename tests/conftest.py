@@ -20,6 +20,7 @@ from endcalc.endspace import (
     canonicalize,
     canonicalize_spec,
     node,
+    planar_tower,
     preceq,
 )
 from endcalc.oracle import enumerate_trees, oracle_preceq
@@ -49,6 +50,10 @@ def random_tree(rng: random.Random, depth: int, max_children: int = 3,
                 children=kids)
 
 
+#: The planar end accumulated by punctures only.
+FLUTE = planar_tower(1)
+
+
 def random_canonical_tree(rng: random.Random, depth: int = 3,
                           **kw) -> EndType:
     return canonicalize(random_tree(rng, depth, **kw))
@@ -71,6 +76,16 @@ def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
     for t, _ in s.subordinates:
         walk(canonicalize(t))
     return frozenset(seen)
+
+
+def reference_sort_key(t: EndType) -> tuple:
+    """The order of ``endspace.sort_key`` by a plain recursion, one frame
+    per level (the reference for the key each node gets when built)."""
+    kids = []
+    for c in t.children:
+        kids.append(reference_sort_key(c))
+    return (t.depth(), len(t.children), t.direct_genus, t.self_accumulating,
+            tuple(sorted(kids)))
 
 
 def random_spec(rng: random.Random,
@@ -105,6 +120,22 @@ def random_spec(rng: random.Random,
 # ---------------------------------------------------------------------------
 # Witness evaluation on flux models
 # ---------------------------------------------------------------------------
+
+
+def minvert(f: flux.MultiEndPerm) -> flux.MultiEndPerm:
+    """The inverse of a multi-ray permutation model (a reference: the
+    package composes but never inverts them)."""
+    n = f.n
+    rho_inv = [0] * n
+    for r, t in enumerate(f.rho):
+        rho_inv[t] = r
+    offsets = tuple(-f.offsets[rho_inv[t]] for t in range(n))
+    tables: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(n)]
+    for r in range(n):
+        for i, (t, j) in f.tables[r].items():
+            tables[t][j] = (r, i)
+    return flux.MultiEndPerm(n, rho=tuple(rho_inv), offsets=offsets,
+                             tables=tables)
 
 
 class WitnessModel:
@@ -180,7 +211,7 @@ class WitnessModel:
 
     def invert(self, a):
         if self.mode == "multiray":
-            return flux.minvert(a)
+            return minvert(a)
         parts = []
         for c, x in zip(self.witness.characters, a):
             if c.kind == "FLUX":

@@ -36,16 +36,14 @@ from endcalc.endspace import (
     SpecError,
     SurfaceSpec,
     canonicalize_spec,
-    flute,
     node,
     planar_tower,
 )
 from endcalc.dsl import emit_report, parse
 from endcalc.oracle import enumerate_trees
-from conftest import (check_witness_on_models, random_spec, random_tree,
-                      type_closure)
+from conftest import (FLUTE, check_witness_on_models, random_spec,
+                      random_tree, type_closure)
 
-FLUTE = flute()
 BLOOM = node(genus=True, cantor=True)
 
 FLUTE_SPEC = SurfaceSpec(roots=((FLUTE, 1),))

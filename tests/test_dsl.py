@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,6 @@ from endcalc.endspace import (
     SurfaceSpec,
     canonicalize,
     canonicalize_spec,
-    flute,
     node,
     planar_tower,
     require_valid,
@@ -39,7 +41,7 @@ from endcalc.flux import (
     parse_perm_literal,
     parse_shift_literal,
 )
-from conftest import load_surfgen, random_spec
+from conftest import FLUTE, load_surfgen, random_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -48,7 +50,7 @@ class TestParse:
     def test_flute(self):
         s = parse("root omega + 1")
         assert s == canonicalize_spec(
-            SurfaceSpec(roots=((flute(), 1),)))[0]
+            SurfaceSpec(roots=((FLUTE, 1),)))[0]
 
     def test_two_towers(self):
         s = parse("root omega^2 * 2 + 1")
@@ -77,7 +79,7 @@ class TestParse:
     def test_typedef(self):
         s = parse("type fl = acc([puncture])\nroot fl * 2")
         (t, m), = s.roots
-        assert t == canonicalize(flute()) and m == 2
+        assert t == canonicalize(FLUTE) and m == 2
 
     def test_cantor_forms(self):
         assert parse("root cantor()").roots[0][0] == CANTOR_LEAF
@@ -185,6 +187,29 @@ class TestLimits:
         n = int(big)
         assert r.bounds.handle_pair_generators == n * (n - 1) // 2
         assert emit_report(r, "JSON") and emit_report(r, "TEXT")
+
+    def test_at_the_limits_under_a_tracer(self):
+        # a fresh interpreter, so that no warm cache hides the depth, and a
+        # no-op trace function, under which recursion hits the limit sooner;
+        # the genus leaf keeps format_type from naming the last nest a tower
+        n = MAX_DEPTH - 1
+        texts = ("root omega^%d + 1" % MAX_DEPTH, _nested(MAX_DEPTH),
+                 "root " + "acc([" * n + "acc(genus,[])" + "])" * n)
+        code = ("import sys\n"
+                "from endcalc.classify import classify\n"
+                "from endcalc.dsl import emit_report, parse\n"
+                "sys.settrace(lambda *a: None)\n"
+                "for text in %r:\n"
+                "    r = classify(parse(text))\n"
+                "    print(r.verdict.rule, len(emit_report(r, 'JSON')) > 0,\n"
+                "          len(emit_report(r, 'TEXT')) > 0)\n"
+                % (texts,))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60,
+                             env=dict(os.environ,
+                                      PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout == "rokhlin True True\n" * len(texts)
 
     @pytest.mark.parametrize("text, line, column", [
         ("root omega^%d + 1" % (MAX_DEPTH + 1), 1, 12),
@@ -378,7 +403,7 @@ class TestRoundTrip:
             assert parse(spec_to_text(s)) == s
         # a raw spec echoes its subordinates, and parsing absorbs them
         raw = SurfaceSpec(roots=((planar_tower(2), 1),),
-                          subordinates=((flute(), 3),))
+                          subordinates=((FLUTE, 3),))
         assert spec_to_text(raw) == "root omega^2+1\nsub omega+1 * 3\n"
         assert parse(spec_to_text(raw)) == require_valid(raw)
 

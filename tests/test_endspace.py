@@ -23,7 +23,6 @@ from endcalc.endspace import (
     canonicalize_spec,
     e_cp,
     equivalent,
-    flute,
     format_type,
     immediate_predecessors,
     in_EG,
@@ -31,13 +30,12 @@ from endcalc.endspace import (
     node,
     planar_tower,
     preceq,
+    sort_key,
 )
 from endcalc.dsl import parse
 from endcalc.oracle import enumerate_trees
-from conftest import random_canonical_tree, random_tree, type_closure
-
-
-FLUTE = flute()
+from conftest import (FLUTE, random_canonical_tree, random_tree,
+                      reference_sort_key, type_closure)
 
 
 def _chain(base, k: int):
@@ -143,7 +141,8 @@ class TestInterning:
 
 
 class TestDepthLimit:
-    @pytest.mark.parametrize("walk", [canonicalize, below, in_EG, format_type])
+    @pytest.mark.parametrize("walk", [canonicalize, below, in_EG, format_type,
+                                      sort_key])
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
     def test_deeper_trees_raise_value_error(self, walk, depth):
         with pytest.raises(ValueError) as exc:
@@ -171,6 +170,23 @@ class TestDepthLimit:
             MAX_DEPTH - 1)
         assert repr(planar_tower(MAX_DEPTH)) == "EndType('omega^%d+1')" % (
             MAX_DEPTH)
+
+
+class TestSortKey:
+    def test_matches_the_recursive_key(self):
+        for t in enumerate_trees(5, 3, 3):
+            assert sort_key(t) == reference_sort_key(t)
+        for k in range(MAX_DEPTH + 1):
+            assert sort_key(planar_tower(k)) == reference_sort_key(
+                planar_tower(k))
+
+    def test_deep_siblings_build_without_a_key(self):
+        # two 1,500-deep towers differing only at the leaf: their keys
+        # could not be compared within the recursion limit
+        t = node(children=[_chain(PUNCTURE, 1500), _chain(LOCH_NESS, 1500)])
+        assert t.depth() == 1501
+        with pytest.raises(ValueError, match="MAX_DEPTH"):
+            sort_key(t)
 
 
 class TestCanonicalize:
@@ -462,16 +478,28 @@ class TestInvariantBundle:
         assert all(t.direct_genus for t in b.G0)
 
     def test_raw_spec_gives_the_canonical_answer(self, rng):
-        # a raw root tree, an absorbed root and two equal roots: the
-        # invariants of the canonical form
+        # a raw root tree, an absorbed root, two equal roots and a CANTOR
+        # root without the flag: the invariants of the canonical form
         raw_tree = node(children=[PUNCTURE, FLUTE])
         named = [SurfaceSpec(roots=((raw_tree, 2),)),
                  SurfaceSpec(roots=((PUNCTURE, 1), (FLUTE, 1))),
-                 SurfaceSpec(roots=((FLUTE, 1), (FLUTE, 1)))]
+                 SurfaceSpec(roots=((FLUTE, 1), (FLUTE, 1))),
+                 SurfaceSpec(roots=((FLUTE, CANTOR),))]
         assert [(b.M, b.C) for b in map(invariant_bundle, named)] == [
-            (1, 1), (1, 0), (1, 1)]
-        # a root given raw is found by its class
+            (1, 1), (1, 0), (1, 1), (1, 1)]
+        # a root given raw is found by its class, a CANTOR root's type also
+        # without the self-accumulation flag its canonical form carries
         assert named[0].multiplicity(raw_tree) == 2
+        assert named[3].multiplicity(FLUTE) is CANTOR
+        # an exact match comes first
+        flagged = node(cantor=True, children=[PUNCTURE])
+        both = SurfaceSpec(roots=((FLUTE, 2), (flagged, CANTOR)))
+        assert both.multiplicity(FLUTE) == 2
+        assert both.multiplicity(flagged) is CANTOR
+        assert e_cp(named[3], FLUTE, FLUTE) == frozenset({PUNCTURE})
+        # a flagged puncture is cantor(), not a class of punctures
+        with pytest.raises(KeyError):
+            SurfaceSpec(roots=((CANTOR_LEAF, CANTOR),)).multiplicity(PUNCTURE)
         outcomes = set()
         for raw in named + [SurfaceSpec(
                 roots=tuple((random_tree(rng, rng.randint(0, 3)),

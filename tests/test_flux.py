@@ -24,7 +24,6 @@ from endcalc.flux import (
     full_shift,
     invert,
     mcompose,
-    minvert,
     normalizer,
     perm_parity,
     phi,
@@ -43,6 +42,7 @@ from endcalc.flux import (
     theta_z,
     verify_normalization,
 )
+from conftest import minvert
 
 
 class TestEndPerm:

@@ -9,7 +9,6 @@ from endcalc.endspace import (
     CANTOR_LEAF,
     PUNCTURE,
     equivalent,
-    flute,
     node,
     planar_tower,
     preceq,
@@ -21,10 +20,7 @@ from endcalc.oracle import (
     oracle_equivalent,
     oracle_preceq,
 )
-from conftest import random_tree
-
-
-FLUTE = flute()
+from conftest import FLUTE, random_tree
 
 
 # The oracle's relation in its first, direct form: the flag test inside the

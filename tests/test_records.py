@@ -26,7 +26,6 @@ from endcalc.endspace import (
     InvariantBundle,
     Record,
     SurfaceSpec,
-    flute,
 )
 from endcalc.flux import (
     FiniteExcluded,
@@ -34,6 +33,7 @@ from endcalc.flux import (
     PeriodicExcluded,
     ShiftSpec,
 )
+from conftest import FLUTE
 
 _TEXT = "root omega + 1 * 2\nroot acc(genus,[])\n"
 
@@ -56,8 +56,8 @@ RECORDS = [
     (lambda: classify(parse(_TEXT)),
      classify(parse("root omega + 1 * 3\n"))),
     (lambda: SourceSpan(1, 2, 1, 3), SourceSpan(1, 2, 1, 4)),
-    (lambda: SurfaceSpec(roots=((flute(), 1),), extra_punctures=2),
-     SurfaceSpec(roots=((flute(), 1),), extra_genus=2)),
+    (lambda: SurfaceSpec(roots=((FLUTE, 1),), extra_punctures=2),
+     SurfaceSpec(roots=((FLUTE, 1),), extra_genus=2)),
     (lambda: InvariantBundle(M=1, C=0, M_iso=1, G0=frozenset()),
      InvariantBundle(M=1, C=1, M_iso=1, G0=frozenset())),
     (lambda: FiniteExcluded((5, 0)), FiniteExcluded((0,))),
@@ -151,7 +151,7 @@ def test_reprs():
 
 
 def test_spec_marker_survives_copies_and_pickles():
-    parsed, built = parse(_TEXT), SurfaceSpec(roots=((flute(), 1),))
+    parsed, built = parse(_TEXT), SurfaceSpec(roots=((FLUTE, 1),))
     assert parsed.validated and not built.validated
     for spec in (parsed, built):
         for c in (copy.copy(spec), copy.deepcopy(spec),
@@ -161,7 +161,7 @@ def test_spec_marker_survives_copies_and_pickles():
 
 def test_spec_marker_is_not_a_parameter():
     with pytest.raises(TypeError):
-        SurfaceSpec(roots=((flute(), 1),), validated=True)
+        SurfaceSpec(roots=((FLUTE, 1),), validated=True)
 
 
 def test_excluded_sets_normalize_their_input():
