@@ -157,8 +157,6 @@ def node(*, genus: bool = False, cantor: bool = False,
 
 
 PUNCTURE = EndType()
-LOCH_NESS = EndType(direct_genus=True)
-CANTOR_LEAF = EndType(self_accumulating=True)
 
 
 def planar_tower(k: int) -> EndType:
@@ -193,7 +191,7 @@ def canonicalize(t: EndType) -> EndType:
     genus-accumulated type already lies strictly below this node.
     """
     _check_depth(t)
-    kids = frozenset(canonicalize(c) for c in t.children)
+    kids = frozenset(map(canonicalize, t.children))
     reduced = frozenset(_maximal(kids))
     genus = t.direct_genus and not any(c._genus for c in reduced)
     return EndType(genus, t.self_accumulating, reduced)
@@ -267,7 +265,7 @@ def format_type(t: EndType) -> str:
         inner.append("genus")
     kids = sorted(t.children, key=sort_key)
     if kids or not t.self_accumulating:
-        inner.append("[" + ",".join(format_type(c) for c in kids) + "]")
+        inner.append("[" + ",".join(map(format_type, kids)) + "]")
     return head + "(" + ",".join(inner) + ")"
 
 

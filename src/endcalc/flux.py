@@ -7,8 +7,8 @@ override table.  The signed count of ends crossing a separating cut
 are described by :class:`ShiftSpec` and corrected to the full shift by
 :func:`normalizer`; :func:`swindle_check` verifies the commutator
 identity expressing a finitely bounded map in terms of the full shift.
-The repetition map behind it (:func:`repetition_map`) is evaluated
-iteratively, in one ascending pass, and requires a step k >= 1.
+The repetition map behind it is built in one ascending pass and requires
+a step k >= 1.  The tests keep reference forms of the loops written inline.
 
 Multi-ray models (:class:`MultiEndPerm`) cover mapping classes that
 permute same-type maximal ends; :func:`theta_tilde` computes the parity
@@ -61,9 +61,6 @@ class EndPerm:
     def __call__(self, i: int) -> int:
         return self.table.get(i, i + self.d)
 
-    def moved(self) -> Tuple[int, ...]:
-        return tuple(sorted(i for i in self.table))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, EndPerm)
                 and self.d == other.d and self.table == other.table)
@@ -74,13 +71,6 @@ class EndPerm:
     def __repr__(self) -> str:
         items = ",".join("%d:%d" % kv for kv in sorted(self.table.items()))
         return "EndPerm(d=%d%s)" % (self.d, ", {%s}" % items if items else "")
-
-
-IDENTITY = EndPerm(0)
-
-
-def full_shift(d: int = 1) -> EndPerm:
-    return EndPerm(d)
 
 
 def compose(f: EndPerm, g: EndPerm) -> EndPerm:
@@ -206,15 +196,6 @@ class ShiftSpec(Record):
     __slots__ = _fields = ("excluded",)
     _defaults = {"excluded": FiniteExcluded()}
 
-    def eta(self, i: int) -> int:
-        """The shift evaluated on index i: skipped indices stay fixed."""
-        if self.excluded.contains(i):
-            return i
-        j = i + 1
-        while self.excluded.contains(j):
-            j += 1
-        return j
-
 
 _SHIFT_FINITE_RE = re.compile(
     r"^\s*(?:shift\s+)?excluded\s*=\s*finite\s*\{([^}]*)\}\s*$")
@@ -227,17 +208,21 @@ def parse_shift_literal(text: str) -> ShiftSpec:
     """``excluded=finite{...}`` or ``excluded=periodic{N=..,p=..,r=..}``."""
     m = _SHIFT_FINITE_RE.match(text)
     if m is not None:
-        body = m.group(1).strip()
-        vals = tuple(int(v) for v in body.split(",") if v.strip()) if body else ()
-        return ShiftSpec(FiniteExcluded(vals))
+        return ShiftSpec(FiniteExcluded(_int_list(m.group(1), text)))
     m = _SHIFT_PERIODIC_RE.match(text)
     if m is not None:
-        residues = tuple(int(v) for v in m.group(3).split(",") if v.strip())
-        return ShiftSpec(PeriodicExcluded(int(m.group(1)), int(m.group(2)),
-                                          residues))
+        n, p, *residues = _int_list(",".join(m.groups()), text)
+        return ShiftSpec(PeriodicExcluded(n, p, tuple(residues)))
     raise ValueError("bad shift literal %r: expected 'excluded=finite{...}' "
                      "or 'excluded=periodic{N=<int>,p=<int>,r=<ints>}'"
                      % text)
+
+
+def _int_list(body: str, text: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in body.split(",") if v.strip())
+    except ValueError as e:
+        raise ValueError("bad shift literal %r: %s" % (text, e)) from None
 
 
 def classify_shift(s: ShiftSpec) -> ShiftKind:
@@ -268,17 +253,6 @@ class Normalizer(Record):
                     % (exc.threshold, exc.period, list(exc.residues)))
         return "half-twist blocks at %s" % (_runs(exc.values),)
 
-    def apply(self, j: int) -> int:
-        excluded = self.excluded.contains
-        if excluded(j):
-            return j + 1
-        if excluded(j - 1):
-            s = j - 1
-            while excluded(s - 1):
-                s -= 1
-            return s
-        return j
-
 
 def normalizer(s: ShiftSpec) -> Normalizer:
     """Half-twist correction making the shift full; errors on a full shift."""
@@ -300,8 +274,8 @@ def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
     """Check (T o eta)(i) == i + 1 for all |i| <= window.
 
-    One pass over the window, with ``ShiftSpec.eta`` and
-    ``Normalizer.apply`` written out on the bound predicates.
+    One pass over the window, with eta and T written out on the bound
+    predicates; the tests keep the pointwise forms of both.
     """
     skipped = s.excluded.contains
     blocked = t.excluded.contains
@@ -327,39 +301,12 @@ def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def repetition_map(f: EndPerm, k: int):
-    """The infinite product of 2k-shifted copies of f, as a callable.
-
-    Defined by h(x) = x below the first window and
-    h(x) = f(h(x - 2k) + 2k) above it: each window [2kj-k, 2kj+k], j >= 0,
-    carries one conjugated copy of f.  Requires k >= 1 and the copies'
-    supports to be disjoint, i.e. f must not move both -k and k; otherwise
-    the infinite product fails to be a bijection (the composition develops
-    a deficient orbit) and no correct window convention exists.  h is
-    iterative: it fills its values in ascending order and keeps them, so
-    h(x) costs O(x + k) time and memory the first time and O(1) after.
-    """
-    _check_repetition(f, k)
-    lo = -3 * k
-    values: List[int] = []
-
-    def h(x: int) -> int:
-        if x < -k:
-            return x
-        if x - lo >= len(values):
-            _repetition_pass(f, k, lo, x, values)
-        return values[x - lo]
-
-    return h
-
-
 def _check_repetition(f: EndPerm, k: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     if f.d != 0:
         raise ValueError("repetition map needs an eventual-translation-0 map")
-    moved = f.moved()
-    if moved and (moved[0] < -k or moved[-1] > k):
+    if f.table and (min(f.table) < -k or max(f.table) > k):
         raise ValueError("support exceeds [-%d, %d]" % (k, k))
     if -k in f.table and k in f.table:
         raise ValueError(
@@ -367,16 +314,17 @@ def _check_repetition(f: EndPerm, k: int) -> None:
             "overlap; enlarge k" % (k, k))
 
 
-def _repetition_pass(f: EndPerm, k: int, lo: int, hi: int,
-                     values: List[int]) -> List[int]:
-    """Extend ``values``, the repetition map on [lo, lo + len(values)), to hi.
+def _repetition_pass(f: EndPerm, k: int, lo: int, hi: int) -> List[int]:
+    """The repetition map h of f with step 2k on [lo, hi], for lo <= -3k.
 
-    The one place the recurrence h(x) = f(h(x - 2k) + 2k) is written;
-    lo <= -3k, so h(x - 2k) is already in ``values`` when h(x) is filled.
+    h(x) = x below the first window and h(x) = f(h(x - 2k) + 2k) above it,
+    one conjugated copy of f in each window [2kj-k, 2kj+k], j >= 0; the
+    copies must be disjoint, or h is no bijection (:func:`_check_repetition`).
     """
     step = 2 * k
     get = f.table.get  # f.d == 0
-    for x in range(lo + len(values), hi + 1):
+    values: List[int] = []
+    for x in range(lo, hi + 1):
         if x < -k:
             values.append(x)
         else:
@@ -394,7 +342,7 @@ def swindle_check(f: EndPerm, k: int, window: int = 200) -> bool:
     _check_repetition(f, k)
     step = 2 * k
     lo, hi = -window - 4 * k - 2, window + 4 * k + 2
-    values = _repetition_pass(f, k, lo, hi, [])  # h on [lo, hi]
+    values = _repetition_pass(f, k, lo, hi)
     inv = {v: x for x, v in enumerate(values, lo)}
     get = f.table.get
     for x in range(-window, window + 1):
@@ -477,9 +425,6 @@ class MultiEndPerm:
         if hit is not None:
             return hit
         return (self.rho[r], i + self.offsets[r])
-
-    def is_ray_preserving(self) -> bool:
-        return self.rho == tuple(range(self.n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiEndPerm) and self.n == other.n
@@ -698,7 +643,7 @@ def suite_phi(count: int, seed: int) -> List[str]:
     """Additivity, inverses, conjugation invariance, cut independence."""
     rng = random.Random(seed)
     errors: List[str] = []
-    if phi(full_shift(1), 0) != 1:
+    if phi(EndPerm(1), 0) != 1:
         errors.append("full shift must have flux 1")
     for trial in range(count):
         f = random_endperm(rng)
@@ -755,7 +700,7 @@ def suite_swindle(window: int = 200) -> List[str]:
             f = EndPerm(0, table)
             if -k in table and k in table:
                 try:
-                    repetition_map(f, k)
+                    _check_repetition(f, k)
                     errors.append("overlap not rejected: k=%d %r" % (k, table))
                 except ValueError:
                     pass

@@ -52,6 +52,10 @@ def random_tree(rng: random.Random, depth: int, max_children: int = 3,
 
 #: The planar end accumulated by punctures only.
 FLUTE = planar_tower(1)
+#: The end accumulated by genus alone.
+LOCH_NESS = node(genus=True)
+#: The Cantor class with nothing else below it.
+CANTOR_LEAF = node(cantor=True)
 
 
 def random_canonical_tree(rng: random.Random, depth: int = 3,
@@ -175,7 +179,7 @@ class WitnessModel:
         parts = []
         for c in self.witness.characters:
             if c.kind == "FLUX":
-                parts.append(flux.IDENTITY)
+                parts.append(flux.EndPerm(0))
             else:
                 parts.append((0, 1))  # identity permutation of a 2-class
         return tuple(parts)
@@ -192,7 +196,7 @@ class WitnessModel:
                 parts = list(self.identity())
                 c = self.witness.characters[idx]
                 if c.kind == "FLUX":
-                    parts[idx] = flux.full_shift(1)
+                    parts[idx] = flux.EndPerm(1)
                 else:
                     parts[idx] = (1, 0)  # a transposition
                 out[gen.name] = tuple(parts)

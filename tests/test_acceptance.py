@@ -13,8 +13,8 @@ import pytest
 from endcalc.classify import Verdict, classify
 from endcalc.dsl import ParseError, parse, report_to_dict
 from endcalc.flux import (
+    EndPerm,
     MultiEndPerm,
-    full_shift,
     phi,
     ray_swap,
     suite_normalize,
@@ -113,7 +113,7 @@ def test_oracle_equivalence_exhaustive(small_tree_sweep):
 
 @criterion(3, "flux suite: additivity, inverse, conjugation, cut independence")
 def test_phi_suite():
-    assert phi(full_shift(1), 0) == 1
+    assert phi(EndPerm(1), 0) == 1
     assert suite_phi(1000, SEED) == []
 
 

@@ -29,8 +29,6 @@ from endcalc.classify import (
 )
 from endcalc.endspace import (
     CANTOR,
-    CANTOR_LEAF,
-    LOCH_NESS,
     MAX_DEPTH,
     PUNCTURE,
     SpecError,
@@ -41,8 +39,8 @@ from endcalc.endspace import (
 )
 from endcalc.dsl import emit_report, parse
 from endcalc.oracle import enumerate_trees
-from conftest import (FLUTE, check_witness_on_models, random_spec,
-                      random_tree, type_closure)
+from conftest import (CANTOR_LEAF, FLUTE, LOCH_NESS, check_witness_on_models,
+                      random_spec, random_tree, type_closure)
 
 BLOOM = node(genus=True, cantor=True)
 

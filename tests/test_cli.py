@@ -248,6 +248,17 @@ class TestFluxCommand:
         assert out == ""
         assert err == "error: need at least one maximal end (got %s)\n" % n
 
+    @pytest.mark.parametrize("spec, entry", [
+        ("excluded=finite{1-2}", "1-2"),
+        ("excluded=periodic{N=1,p=3,r=-,}", "-"),
+    ])
+    def test_shift_entry_error_names_the_literal(self, spec, entry, capsys):
+        assert main(["flux", "shift", "--spec", spec]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: bad shift literal %r: invalid literal for "
+                       "int() with base 10: %r\n" % (spec, entry))
+
     def test_shift(self, capsys):
         assert main(["flux", "shift", "--spec",
                      "excluded=periodic{N=1,p=3,r=0}"]) == EXIT_OK

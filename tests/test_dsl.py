@@ -25,7 +25,6 @@ from endcalc.dsl import (
 )
 from endcalc.endspace import (
     CANTOR,
-    CANTOR_LEAF,
     SpecError,
     SurfaceSpec,
     canonicalize,
@@ -34,14 +33,7 @@ from endcalc.endspace import (
     planar_tower,
     require_valid,
 )
-from endcalc.flux import (
-    EndPerm,
-    FiniteExcluded,
-    PeriodicExcluded,
-    parse_perm_literal,
-    parse_shift_literal,
-)
-from conftest import FLUTE, load_surfgen, random_spec
+from conftest import CANTOR_LEAF, FLUTE, load_surfgen, random_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -555,30 +547,3 @@ class TestReportsMatchTheStdlib:
         r = _replaced(report, bounds=bounds)
         assert emit_report(r, "JSON") == _stdlib_json(r)
 
-
-class TestLiterals:
-    def test_perm(self):
-        assert parse_perm_literal("d=1") == EndPerm(1)
-        assert parse_perm_literal("d=0 table={0:1,1:0}") == \
-            EndPerm(0, {0: 1, 1: 0})
-        assert parse_perm_literal("perm d=-2 table={}") == EndPerm(-2)
-        assert parse_perm_literal("d=0 table={0:1,1:0,}") == \
-            EndPerm(0, {0: 1, 1: 0})
-
-    def test_perm_errors(self):
-        with pytest.raises(ValueError):
-            parse_perm_literal("table={0:1}")
-        with pytest.raises(ValueError):
-            parse_perm_literal("d=0 table={0:}")
-
-    def test_shift(self):
-        s = parse_shift_literal("excluded=finite{0,5}")
-        assert s.excluded == FiniteExcluded((0, 5))
-        s = parse_shift_literal("shift excluded=periodic{N=1,p=3,r=0}")
-        assert s.excluded == PeriodicExcluded(1, 3, (0,))
-        s = parse_shift_literal("excluded=finite{}")
-        assert s.excluded == FiniteExcluded(())
-
-    def test_shift_errors(self):
-        with pytest.raises(ValueError):
-            parse_shift_literal("excluded=weekly{1}")

@@ -11,9 +11,7 @@ import pytest
 
 from endcalc.endspace import (
     CANTOR,
-    CANTOR_LEAF,
     EndType,
-    LOCH_NESS,
     MAX_DEPTH,
     PUNCTURE,
     SpecError,
@@ -34,8 +32,8 @@ from endcalc.endspace import (
 )
 from endcalc.dsl import parse
 from endcalc.oracle import enumerate_trees
-from conftest import (FLUTE, random_canonical_tree, random_tree,
-                      reference_sort_key, type_closure)
+from conftest import (CANTOR_LEAF, FLUTE, LOCH_NESS, random_canonical_tree,
+                      random_tree, reference_sort_key, type_closure)
 
 
 def _chain(base, k: int):
@@ -160,6 +158,31 @@ class TestDepthLimit:
                              env=dict(os.environ,
                                       PYTHONPATH=os.pathsep.join(sys.path)))
         assert out.stdout == "False omega^%d+1 %d\n" % (MAX_DEPTH, MAX_DEPTH)
+
+    def test_walks_recurse_one_frame_per_level(self):
+        # a fresh interpreter with cold caches, each walk called 400 frames
+        # deep on a legal non-tower chain: at two frames per level the
+        # 1000-frame default limit runs out
+        n = MAX_DEPTH - 1
+        code = ("from endcalc.endspace import *\n"
+                "def at(frames, walk, t):\n"
+                "    return at(frames - 1, walk, t) if frames else walk(t)\n"
+                "t = node(genus=True)\n"
+                "for _ in range(MAX_DEPTH - 1):\n"
+                "    t = node(children=[t])\n"
+                "for walk in (canonicalize, below, format_type):\n"
+                "    try:\n"
+                "        print(walk.__name__, at(400, walk, t) == walk(t))\n"
+                "    except RecursionError:\n"
+                "        print(walk.__name__, 'RecursionError')\n"
+                "print(format_type(t))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env=dict(os.environ,
+                                      PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout == (
+            "canonicalize True\nbelow True\nformat_type True\n"
+            + "acc([" * n + "acc(genus,[])" + "])" * n + "\n")
 
     def test_repr_above_the_limit_shows_only_the_depth(self):
         assert (repr(planar_tower(MAX_DEPTH + 1))

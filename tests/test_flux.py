@@ -12,7 +12,6 @@ from endcalc.flux import (
     SWINDLE_PERMUTATIONS,
     EndPerm,
     FiniteExcluded,
-    IDENTITY,
     MultiEndPerm,
     Normalizer,
     PeriodicExcluded,
@@ -21,10 +20,11 @@ from endcalc.flux import (
     classify_shift,
     compose,
     factor_permutation,
-    full_shift,
     invert,
     mcompose,
     normalizer,
+    parse_perm_literal,
+    parse_shift_literal,
     perm_parity,
     phi,
     random_endperm,
@@ -33,7 +33,6 @@ from endcalc.flux import (
     ray_local,
     ray_shift,
     ray_swap,
-    repetition_map,
     suite_normalize,
     suite_phi,
     suite_theta,
@@ -53,19 +52,19 @@ class TestEndPerm:
     def test_normalizes_trivial_entries(self):
         f = EndPerm(2, {5: 7})
         assert f.table == {}
-        assert f == full_shift(2) and hash(f) == hash(full_shift(2))
+        assert f == EndPerm(2) and hash(f) == hash(EndPerm(2))
 
     def test_compose_identity(self):
         f = EndPerm(3, {-5: -1, -4: -2})
-        assert compose(IDENTITY, f) == f
-        assert compose(f, IDENTITY) == f
+        assert compose(EndPerm(0), f) == f
+        assert compose(f, EndPerm(0)) == f
 
     def test_shift_cancel(self):
-        assert compose(full_shift(1), full_shift(-1)) == IDENTITY
+        assert compose(EndPerm(1), EndPerm(-1)) == EndPerm(0)
 
     def test_compose_pointwise_example(self):
         g = EndPerm(0, {0: 1, 1: 0})
-        assert compose(full_shift(2), g)(0) == 3
+        assert compose(EndPerm(2), g)(0) == 3
 
     def test_compose_matches_pointwise(self, rng):
         for _ in range(300):
@@ -95,10 +94,10 @@ def _phi_by_counting(f, c):
 
 class TestPhi:
     def test_identity_zero(self):
-        assert phi(IDENTITY, 4) == 0
+        assert phi(EndPerm(0), 4) == 0
 
     def test_full_shift_one(self):
-        assert phi(full_shift(1), 0) == 1
+        assert phi(EndPerm(1), 0) == 1
 
     def test_shifted_swap_example(self):
         f = EndPerm(3, {-5: -1, -4: -2})
@@ -118,14 +117,14 @@ class TestPhi:
 
     @given(st.integers(-5, 5), st.integers(-20, 20))
     def test_phi_equals_translation(self, d, cut):
-        assert phi(full_shift(d), cut) == d
+        assert phi(EndPerm(d), cut) == d
 
     def test_suite(self):
         assert suite_phi(1000, 42) == []
 
     def test_large_translation_in_constant_work(self):
         start = time.process_time()
-        assert phi(full_shift(10 ** 9), 0) == 10 ** 9
+        assert phi(EndPerm(10 ** 9), 0) == 10 ** 9
         f = EndPerm(-10 ** 9, {0: 1 - 10 ** 9, 1: -10 ** 9})
         assert phi(f, 1) == phi(f, -5) == -10 ** 9
         assert time.process_time() - start < 0.5
@@ -199,7 +198,7 @@ class TestShifts:
 
 class TestSwindle:
     def test_identity(self):
-        assert swindle_check(IDENTITY, 1, 100)
+        assert swindle_check(EndPerm(0), 1, 100)
 
     def test_transposition(self):
         assert swindle_check(EndPerm(0, {0: 1, 1: 0}), 1, 100)
@@ -212,20 +211,18 @@ class TestSwindle:
             swindle_check(EndPerm(0, {2: 3, 3: 2}), 1, 50)
 
     def test_translation_rejected(self):
-        with pytest.raises(ValueError):
-            repetition_map(full_shift(1), 2)
+        with pytest.raises(ValueError, match="eventual-translation-0"):
+            swindle_check(EndPerm(1), 2, 10)
 
     def test_overlapping_windows_rejected(self):
         f = EndPerm(0, {-1: 1, 1: -1})
-        with pytest.raises(ValueError):
-            repetition_map(f, 1)
+        with pytest.raises(ValueError, match="overlap; enlarge k"):
+            swindle_check(f, 1, 100)
         assert swindle_check(f, 2, 100)
 
     @pytest.mark.parametrize("k", [0, -1, -5])
     def test_k_below_one_rejected(self, k):
-        for f in (IDENTITY, EndPerm(0, {0: 1, 1: 0})):
-            with pytest.raises(ValueError, match="k must be at least 1"):
-                repetition_map(f, k)
+        for f in (EndPerm(0), EndPerm(0, {0: 1, 1: 0})):
             with pytest.raises(ValueError, match="k must be at least 1"):
                 swindle_check(f, k, 10)
 
@@ -262,7 +259,7 @@ class TestMultiEndPerm:
         twice = mcompose(ray_swap(3, 0, 1), ray_swap(3, 0, 1))
         assert twice == MultiEndPerm(3)
         assert hash(twice) == hash(MultiEndPerm(3))
-        assert twice != ray_swap(3, 0, 1) and twice != IDENTITY
+        assert twice != ray_swap(3, 0, 1) and twice != EndPerm(0)
 
     def test_invert_matches_pointwise(self, rng):
         for _ in range(150):
@@ -289,26 +286,26 @@ class TestMultiEndPerm:
 
 class TestThetaZ:
     def test_all_identity(self):
-        assert theta_z([IDENTITY, IDENTITY], 3) == (0, 0)
+        assert theta_z([EndPerm(0), EndPerm(0)], 3) == (0, 0)
 
     def test_basis_shift(self):
-        assert theta_z([full_shift(1), IDENTITY], 3) == (1, 0)
+        assert theta_z([EndPerm(1), EndPerm(0)], 3) == (1, 0)
 
     def test_composite(self):
-        assert theta_z([full_shift(1), full_shift(1)], 3) == (1, 1)
+        assert theta_z([EndPerm(1), EndPerm(1)], 3) == (1, 1)
 
     def test_section_property(self):
         # the tuple with 1 in slot i is realized by the slot-i shift model
         n = 4
         for i in range(n - 1):
-            models = [full_shift(1) if j == i else IDENTITY
+            models = [EndPerm(1) if j == i else EndPerm(0)
                       for j in range(n - 1)]
             expected = tuple(1 if j == i else 0 for j in range(n - 1))
             assert theta_z(models, n) == expected
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            theta_z([IDENTITY], 3)
+            theta_z([EndPerm(0)], 3)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_maximal_end(self, n):
@@ -352,9 +349,48 @@ class TestThetaTilde:
         assert perm_parity((0, 1, 2)) == 0
 
 
+class TestLiterals:
+    def test_perm(self):
+        assert parse_perm_literal("d=1") == EndPerm(1)
+        assert parse_perm_literal("d=0 table={0:1,1:0}") == \
+            EndPerm(0, {0: 1, 1: 0})
+        assert parse_perm_literal("perm d=-2 table={}") == EndPerm(-2)
+        assert parse_perm_literal("d=0 table={0:1,1:0,}") == \
+            EndPerm(0, {0: 1, 1: 0})
+
+    def test_perm_errors(self):
+        with pytest.raises(ValueError):
+            parse_perm_literal("table={0:1}")
+        with pytest.raises(ValueError):
+            parse_perm_literal("d=0 table={0:}")
+
+    def test_shift(self):
+        s = parse_shift_literal("excluded=finite{0,5}")
+        assert s.excluded == FiniteExcluded((0, 5))
+        s = parse_shift_literal("shift excluded=periodic{N=1,p=3,r=0}")
+        assert s.excluded == PeriodicExcluded(1, 3, (0,))
+        s = parse_shift_literal("excluded=finite{}")
+        assert s.excluded == FiniteExcluded(())
+
+    def test_shift_errors(self):
+        with pytest.raises(ValueError):
+            parse_shift_literal("excluded=weekly{1}")
+
+    @pytest.mark.parametrize("text, entry", [
+        ("excluded=finite{1-2}", "1-2"),
+        ("excluded=periodic{N=1,p=3,r=-,}", "-"),
+    ])
+    def test_shift_entry_errors_name_the_literal(self, text, entry):
+        with pytest.raises(ValueError) as exc:
+            parse_shift_literal(text)
+        assert str(exc.value) == ("bad shift literal %r: invalid literal for "
+                                  "int() with base 10: %r" % (text, entry))
+
+
 # ---------------------------------------------------------------------------
 # Reference forms: the plain loops that theta_tilde, verify_normalization,
-# the repetition map and MultiEndPerm._validate replaced, compared with them
+# the repetition map and MultiEndPerm._validate replaced, and the shift and
+# normalizer evaluated pointwise, which verify_normalization writes inline
 # ---------------------------------------------------------------------------
 
 
@@ -365,13 +401,38 @@ def _theta_tilde_by_mcompose(f, designated):
     for gi in word:
         g = mcompose(g, designated[gi])
     h = mcompose(f, g)
-    assert h.is_ray_preserving()
+    assert h.rho == tuple(range(h.n))
     return (sum(h.offsets[1:]) % 2,
             perm_parity(f.rho))
 
 
+def _eta(s, i):
+    """The shift s evaluated on index i: skipped indices stay fixed."""
+    if s.excluded.contains(i):
+        return i
+    j = i + 1
+    while s.excluded.contains(j):
+        j += 1
+    return j
+
+
+def _normalize(t, j):
+    """The normalizer t evaluated on index j: the block of a skipped run
+    [s..e] acts as the cycle s -> s+1 -> ... -> e+1 -> s."""
+    excluded = t.excluded.contains
+    if excluded(j):
+        return j + 1
+    if excluded(j - 1):
+        s = j - 1
+        while excluded(s - 1):
+            s -= 1
+        return s
+    return j
+
+
 def _verify_normalization_by_generator(s, t, window):
-    return all(t.apply(s.eta(i)) == i + 1 for i in range(-window, window + 1))
+    return all(_normalize(t, _eta(s, i)) == i + 1
+               for i in range(-window, window + 1))
 
 
 def _repetition_map_recursive(f, k):
@@ -459,12 +520,12 @@ class TestAgainstReference:
         assert len(cases) == 5166
         for f, k, overlap in cases:
             if overlap:
-                with pytest.raises(ValueError):
-                    repetition_map(f, k)
+                with pytest.raises(ValueError, match="overlap; enlarge k"):
+                    swindle_check(f, k, 1)
                 k += 1
-            h, ref = repetition_map(f, k), _repetition_map_recursive(f, k)
-            span = range(-5 * k, 5 * k + 1)
-            assert [h(x) for x in span] == [ref(x) for x in span]
+            ref = _repetition_map_recursive(f, k)
+            assert flux._repetition_pass(f, k, -5 * k, 5 * k) \
+                == [ref(x) for x in range(-5 * k, 5 * k + 1)]
             for window in (1, 7, 200):
                 assert swindle_check(f, k, window) \
                     == _swindle_check_recursive(f, k, window)
@@ -473,9 +534,7 @@ class TestAgainstReference:
         f = EndPerm(0, {0: 1, 1: 0})
         ref = _repetition_map_recursive(f, 1)
         expected = [ref(x) for x in range(-3, 5001)]  # ascending: shallow
-        assert repetition_map(f, 1)(5000) == expected[-1]
-        h = repetition_map(f, 1)
-        assert [h(x) for x in range(5000, -4, -1)] == expected[::-1]
+        assert flux._repetition_pass(f, 1, -3, 5000) == expected
 
     def test_verify_normalization(self):
         rng = random.Random(12)

@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from endcalc.endspace import (
-    CANTOR_LEAF,
     PUNCTURE,
     equivalent,
     node,
@@ -20,7 +19,7 @@ from endcalc.oracle import (
     oracle_equivalent,
     oracle_preceq,
 )
-from conftest import FLUTE, random_tree
+from conftest import CANTOR_LEAF, FLUTE, random_tree
 
 
 # The oracle's relation in its first, direct form: the flag test inside the

@@ -22,7 +22,6 @@ from endcalc.classify import (
 )
 from endcalc.dsl import SourceSpan, parse
 from endcalc.endspace import (
-    CANTOR_LEAF,
     InvariantBundle,
     Record,
     SurfaceSpec,
@@ -33,7 +32,7 @@ from endcalc.flux import (
     PeriodicExcluded,
     ShiftSpec,
 )
-from conftest import FLUTE
+from conftest import CANTOR_LEAF, FLUTE
 
 _TEXT = "root omega + 1 * 2\nroot acc(genus,[])\n"
 

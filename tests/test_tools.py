@@ -2,8 +2,8 @@
 byte-identical to the pinned digest; ``tools/quotient_sweep.py`` on the
 4-node classes; ``tools/census.py`` on the 2-node universe and on a
 failed check.  Also lints of the package sources: no module imports a
-name it never uses, and the oracle takes only ``EndType`` from the
-package."""
+name it never uses, no public name is used by the tests alone, and the
+oracle takes only ``EndType`` from the package."""
 
 import ast
 import os
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import endcalc
 from endcalc.classify import (
     BoundsReport,
     TNGVerdict,
@@ -118,6 +119,45 @@ def test_package_modules_use_every_import():
               for path in sorted((ROOT / "src" / "endcalc").glob("*.py"))
               if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _public_top_level_names(tree: ast.Module) -> list:
+    names = []
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            names.append(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _references(tree: ast.AST) -> set:
+    """Every name a module loads or imports and every attribute it reads."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def test_package_has_no_names_only_tests_use():
+    # a public name is exported, used in its own module, or used by another
+    # package module, a tool or the benchmark; a name only tests call
+    # belongs in the tests
+    modules = sorted((ROOT / "src" / "endcalc").glob("*.py"))
+    sources = modules + sorted((ROOT / "tools").glob("*.py")) \
+        + sorted((ROOT / "bench").glob("*.py"))
+    used = set(endcalc.__all__).union(
+        *(_references(ast.parse(path.read_bytes())) for path in sources))
+    unused = ["%s.%s" % (path.stem, name) for path in modules
+              for name in _public_top_level_names(ast.parse(path.read_bytes()))
+              if name not in used]
+    assert unused == []
 
 
 def test_oracle_takes_only_endtype_from_the_package():
