@@ -25,6 +25,7 @@ orientation negates the flux.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -120,7 +121,10 @@ def parse_perm_literal(text: str) -> EndPerm:
     if m is None:
         raise ValueError("bad permutation literal %r: expected "
                          "'d=<int> table={i:j,...}'" % text)
-    d = int(m.group(1))
+    try:
+        d = int(m.group(1))
+    except ValueError as e:
+        raise ValueError("bad permutation literal %r: %s" % (text, e)) from None
     table = {}
     body = m.group(2)
     if body:
@@ -161,6 +165,10 @@ class FiniteExcluded(Record):
     def contains(self, k: int) -> bool:
         return k in self._members
 
+    def members(self, lo: int, hi: int) -> List[int]:
+        """The skipped indices in [lo, hi], ascending."""
+        return [k for k in self.values if lo <= k <= hi]
+
 
 class PeriodicExcluded(Record):
     """Indices k >= threshold with k mod period in residues are skipped.
@@ -187,6 +195,13 @@ class PeriodicExcluded(Record):
 
     def contains(self, k: int) -> bool:
         return k >= self.threshold and (k % self.period) in self.residues
+
+    def members(self, lo: int, hi: int) -> List[int]:
+        """The skipped indices in [lo, hi], ascending."""
+        lo = max(lo, self.threshold)
+        p = self.period
+        return sorted(k for r in self.residues
+                      for k in range(lo + (r - lo) % p, hi + 1, p))
 
 
 class ShiftSpec(Record):
@@ -274,12 +289,20 @@ def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
     """Check (T o eta)(i) == i + 1 for all |i| <= window.
 
-    One pass over the window, with eta and T written out on the bound
-    predicates; the tests keep the pointwise forms of both.
+    eta and T are written out on the bound predicates; the tests keep the
+    pointwise forms of both.  Only an index i with i or i + 1 skipped by
+    the shift or blocked by the normalizer can fail: otherwise eta(i) is
+    i + 1, which T fixes because neither i + 1 nor i is blocked.  So the
+    check walks those indices alone, in ascending order.
     """
     skipped = s.excluded.contains
     blocked = t.excluded.contains
-    for i in range(-window, window + 1):
+    marked = set(s.excluded.members(-window, window + 1))
+    marked.update(t.excluded.members(-window, window + 1))
+    marked.update([k - 1 for k in marked])
+    marked.discard(-window - 1)
+    marked.discard(window + 1)
+    for i in sorted(marked):
         j = i
         if not skipped(i):
             j += 1
@@ -510,22 +533,29 @@ def factor_permutation(target: Sequence[int],
     Breadth-first search over the ray permutations; raises when the
     designated twists do not generate enough of the symmetric group.
     The returned word w satisfies rho(d[w0] o d[w1] o ... ) == target.
+    The word depends only on the target and the twists' ray permutations,
+    so it is memoized on those.
     """
-    target = tuple(target)
+    return list(_twist_word(tuple(target), tuple(d.rho for d in designated)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _twist_word(target: Tuple[int, ...],
+                rhos: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     n = len(target)
     start = tuple(range(n))
     if target == start:
-        return []
-    frontier = [(start, [])]
+        return ()
+    frontier = [(start, ())]
     seen = {start}
     while frontier:
         nxt = []
         for perm, word in frontier:
-            for gi, g in enumerate(designated):
-                new = tuple(g.rho[perm[r]] for r in range(n))
+            for gi, rho in enumerate(rhos):
+                new = tuple(rho[perm[r]] for r in range(n))
                 if new in seen:
                     continue
-                nw = [gi] + word
+                nw = (gi,) + word
                 if new == target:
                     return nw
                 seen.add(new)
@@ -620,7 +650,7 @@ def random_multiendperm(rng: random.Random, n: int,
         pool = tuple(range(n))
     else:
         pool = rays
-    m = MultiEndPerm(n)
+    m: Optional[MultiEndPerm] = None
     for _ in range(rng.randint(1, 5)):
         kind = rng.randrange(3)
         if kind == 0 and len(pool) >= 2:
@@ -635,7 +665,7 @@ def random_multiendperm(rng: random.Random, n: int,
             idx = list(range(size))
             rng.shuffle(idx)
             atom = ray_local(n, r, {i: j for i, j in enumerate(idx)})
-        m = mcompose(m, atom)
+        m = atom if m is None else mcompose(m, atom)
     return m
 
 

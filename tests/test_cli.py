@@ -259,6 +259,16 @@ class TestFluxCommand:
         assert err == ("error: bad shift literal %r: invalid literal for "
                        "int() with base 10: %r\n" % (spec, entry))
 
+    def test_perm_translation_over_the_digit_limit_names_the_literal(
+            self, capsys):
+        perm = "d=" + "9" * 5000
+        assert main(["flux", "phi", "--perm", perm]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad permutation literal %r: Exceeds "
+                              "the limit (4300 digits)" % perm)
+        assert err.count("\n") == 1
+
     def test_shift(self, capsys):
         assert main(["flux", "shift", "--spec",
                      "excluded=periodic{N=1,p=3,r=0}"]) == EXIT_OK

@@ -149,6 +149,17 @@ class TestShifts:
         s = ShiftSpec(PeriodicExcluded(1, 3, (0,)))
         assert [k for k in range(-4, 13) if s.excluded.contains(k)] == [3, 6, 9, 12]
 
+    @pytest.mark.parametrize("excluded", [
+        FiniteExcluded(()), FiniteExcluded((-9, -3, 0, 1, 2, 7, 40)),
+        PeriodicExcluded(1, 3, (0,)), PeriodicExcluded(-30, 5, (1, 3)),
+        PeriodicExcluded(4, 6, (-1, 9, 14)),  # residues outside [0, p)
+    ])
+    def test_members_lists_the_contained_indices(self, excluded):
+        for lo, hi in ((-12, 12), (0, 0), (5, 4), (12, -12), (-100, -40),
+                       (3, 3), (39, 41)):
+            assert excluded.members(lo, hi) == [
+                k for k in range(lo, hi + 1) if excluded.contains(k)]
+
     def test_periodic_needs_proper_residues(self):
         with pytest.raises(ValueError):
             PeriodicExcluded(1, 2, (0, 1))
@@ -364,6 +375,13 @@ class TestLiterals:
         with pytest.raises(ValueError):
             parse_perm_literal("d=0 table={0:}")
 
+    def test_perm_translation_over_the_digit_limit_names_the_literal(self):
+        text = "d=" + "9" * 5000
+        with pytest.raises(ValueError) as exc:
+            parse_perm_literal(text)
+        assert str(exc.value).startswith("bad permutation literal %r: "
+                                         "Exceeds the limit" % text)
+
     def test_shift(self):
         s = parse_shift_literal("excluded=finite{0,5}")
         assert s.excluded == FiniteExcluded((0, 5))
@@ -433,6 +451,53 @@ def _normalize(t, j):
 def _verify_normalization_by_generator(s, t, window):
     return all(_normalize(t, _eta(s, i)) == i + 1
                for i in range(-window, window + 1))
+
+
+def _factor_permutation_bfs(target, designated):
+    """factor_permutation's breadth-first search, run afresh on each call."""
+    target = tuple(target)
+    n = len(target)
+    start = tuple(range(n))
+    if target == start:
+        return []
+    frontier = [(start, [])]
+    seen = {start}
+    while frontier:
+        nxt = []
+        for perm, word in frontier:
+            for gi, g in enumerate(designated):
+                new = tuple(g.rho[perm[r]] for r in range(n))
+                if new in seen:
+                    continue
+                nw = [gi] + word
+                if new == target:
+                    return nw
+                seen.add(new)
+                nxt.append((new, nw))
+        frontier = nxt
+    raise ValueError("designated twists do not realize the ray permutation")
+
+
+def _random_multiendperm_from_identity(rng, n, rays=None):
+    """random_multiendperm with its word composed onto the identity map."""
+    pool = tuple(range(n)) if rays is None else rays
+    m = MultiEndPerm(n)
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0 and len(pool) >= 2:
+            a, b = rng.sample(pool, 2)
+            atom = ray_swap(n, a, b)
+        elif kind == 1 and len(pool) >= 2:
+            a, b = rng.sample(pool, 2)
+            atom = ray_shift(n, a, b)
+        else:
+            r = rng.choice(pool)
+            size = rng.randint(2, 4)
+            idx = list(range(size))
+            rng.shuffle(idx)
+            atom = ray_local(n, r, {i: j for i, j in enumerate(idx)})
+        m = mcompose(m, atom)
+    return m
 
 
 def _repetition_map_recursive(f, k):
@@ -515,6 +580,42 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="ray counts differ"):
             mcompose(ray_swap(2, 0, 1), ray_swap(3, 0, 1))
 
+    def test_factor_permutation(self):
+        failures = 0
+        for n in range(1, 6):
+            adjacent = [ray_swap(n, i, i + 1) for i in range(n - 1)]
+            closed = adjacent + [ray_swap(n, 0, n - 1)]
+            for designated in (adjacent, closed, closed[::-1],
+                               adjacent[:-1]):  # the last cannot move ray n-1
+                for target in itertools.permutations(range(n)):
+                    try:
+                        ref = _factor_permutation_bfs(target, designated)
+                    except ValueError as e:
+                        failures += 1
+                        for _ in range(2):  # a failure is never memoized
+                            with pytest.raises(ValueError) as exc:
+                                factor_permutation(target, designated)
+                            assert str(exc.value) == str(e)
+                        continue
+                    word = factor_permutation(target, designated)
+                    assert word == ref
+                    word.append(0)  # each call gets a list of its own
+                    assert factor_permutation(list(target), designated) == ref
+        assert failures == 1 + 4 + 18 + 96  # n! - (n - 1)! per n >= 2
+
+    @pytest.mark.parametrize("rays", [False, True])
+    def test_random_multiendperm(self, rays):
+        draws = random.Random(14)
+        for _ in range(2000):
+            n = draws.randint(2, 5)
+            pair = tuple(draws.sample(range(n), 2)) if rays else None
+            seed = draws.getrandbits(32)
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = random_multiendperm(rng, n, rays=pair)
+            ref = _random_multiendperm_from_identity(ref_rng, n, rays=pair)
+            assert got == ref and repr(got) == repr(ref)
+            assert rng.random() == ref_rng.random()
+
     def test_swindle_and_repetition_map(self):
         cases = list(_swindle_cases())
         assert len(cases) == 5166
@@ -551,6 +652,47 @@ class TestAgainstReference:
                 assert got == _verify_normalization_by_generator(s, t, window)
                 seen.add(got)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 60])
+    def test_verify_normalization_at_the_window_edges(self, window):
+        w = window
+        shifts = [
+            FiniteExcluded((-w - 1, -w)), FiniteExcluded((w, w + 1)),
+            FiniteExcluded((-w - 2, -w - 1, w + 1, w + 2)),
+            FiniteExcluded((w + 1,)), FiniteExcluded((-w - 1,)),
+            FiniteExcluded((-w - 9, -w - 8, w + 5)),  # wholly outside
+            PeriodicExcluded(-w - 7, 3, (0,)), PeriodicExcluded(-w - 1, 2, (1,)),
+            PeriodicExcluded(w, 4, (1, 2)), PeriodicExcluded(w + 1, 5, (0, 3)),
+        ]
+        wrongs = [
+            FiniteExcluded(()), FiniteExcluded((w,)), FiniteExcluded((-w - 1,)),
+            FiniteExcluded((w + 1, w + 2)), FiniteExcluded((-w - 9, w + 9)),
+            PeriodicExcluded(-w - 7, 3, (1,)), PeriodicExcluded(-w, 2, (0,)),
+            PeriodicExcluded(w + 1, 4, (2,)), PeriodicExcluded(w + 2, 5, (0, 3)),
+        ]
+        seen = set()
+        for excluded in shifts:
+            s = ShiftSpec(excluded)
+            for t in [normalizer(s)] + [Normalizer(e) for e in wrongs]:
+                got = verify_normalization(s, t, window)
+                assert got == _verify_normalization_by_generator(s, t, window)
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_verify_normalization_with_periodic_wrong_normalizers(self):
+        rng = random.Random(15)
+        seen = collections.Counter()
+        for _ in range(400):
+            s = random_shiftspec(rng)
+            p = rng.randint(2, 6)
+            wrong = Normalizer(PeriodicExcluded(
+                rng.randint(-70, 10), p,
+                tuple(rng.sample(range(p), rng.randint(1, p - 1)))))
+            window = rng.choice((0, 1, 2, 60))
+            got = verify_normalization(s, wrong, window)
+            assert got == _verify_normalization_by_generator(s, wrong, window)
+            seen[got] += 1
+        assert seen[True] and seen[False]
 
     def test_validate_messages(self):
         rng = random.Random(13)
