@@ -34,9 +34,9 @@ EXIT_INTERNAL = 4
 
 # Upper limits of the flux commands' sizes.  At its limits flux swindle
 # takes well under a second of CPU, and so does flux shift; flux check
-# takes about a second with the theta suite at MAX_TRIALS or the swindle
-# suite's 5166 checks at MAX_CHECK_WINDOW, so its default window of 200 is
-# also its largest.
+# takes about a second with the swindle suite's 5166 checks at
+# MAX_CHECK_WINDOW, so its default window of 200 is also its largest, and
+# about 0.6 s with the theta suite at MAX_TRIALS.
 MAX_WINDOW = 100000
 MAX_K = 1000
 MAX_TRIALS = 2000

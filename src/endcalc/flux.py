@@ -299,7 +299,7 @@ def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
     blocked = t.excluded.contains
     marked = set(s.excluded.members(-window, window + 1))
     marked.update(t.excluded.members(-window, window + 1))
-    marked.update([k - 1 for k in marked])
+    marked.update([k - 1 for k in marked])  # i + 1 marked
     marked.discard(-window - 1)
     marked.discard(window + 1)
     for i in sorted(marked):
