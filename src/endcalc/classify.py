@@ -32,8 +32,8 @@ from .endspace import (
     Record,
     SpecError,
     SurfaceSpec,
+    _shared_predecessors,
     canonicalize_spec,
-    e_cp,
     format_type,
     invariant_bundle,
     require_valid,
@@ -143,11 +143,10 @@ class TNGVerdict(Record):
     _defaults = {"witness": None, "notes": ()}
 
 
-def _fluxes(s: SurfaceSpec, a: EndType, b: EndType,
-            kind: str = "FLUX") -> List[Character]:
-    """The FLUX (or FLUX_MOD2) characters of the pair (a, b), one per
-    shared predecessor."""
-    zs = sorted(e_cp(s, a, b), key=sort_key)
+def _fluxes(a: EndType, b: EndType, kind: str = "FLUX") -> List[Character]:
+    """The FLUX (or FLUX_MOD2) characters of the pair (a, b) of root types
+    of a validated spec, one per shared predecessor (``e_cp``)."""
+    zs = sorted(_shared_predecessors(a, b), key=sort_key)
     pair = (format_type(a), format_type(b)) if zs else None
     return [Character(kind, z=format_type(z), pair=pair) for z in zs]
 
@@ -181,7 +180,7 @@ def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
     """
     types = s.root_types()
     flux = [c for i, a in enumerate(types) for b in types[i + 1:]
-            for c in _fluxes(s, a, b)]
+            for c in _fluxes(a, b)]
     g0 = [format_type(t) for t in types if t.direct_genus]
     flux += [Character("FLUX", z="handle", pair=(a, b))
              for i, a in enumerate(g0) for b in g0[i + 1:]]
@@ -198,7 +197,7 @@ def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
         return _assemble_witness(parity[:2])
     if repeated:  # then the only class parity is this class's own
         t, tn = repeated[0], parity[0].maximal_type
-        mod2 = _fluxes(s, t, t, "FLUX_MOD2")
+        mod2 = _fluxes(t, t, "FLUX_MOD2")
         if t.direct_genus:
             mod2.append(Character("FLUX_MOD2", z="handle", pair=(tn, tn)))
         if mod2:
@@ -264,7 +263,7 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                 "composed with a half-space translation",))
     for u, _ in finite_roots:
         for p in cantor_roots:
-            fluxes = _fluxes(s, u, p)
+            fluxes = _fluxes(u, p)
             if len(fluxes) >= 2:
                 return TNGVerdict(Verdict.NO, RULE_DOUBLE_FLUX,
                                   witness=_assemble_witness(fluxes[:2]))

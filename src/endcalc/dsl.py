@@ -35,7 +35,7 @@ is one column.
 Limits: an integer literal has at most :data:`MAX_INT_DIGITS` digits; an
 exponent, the nesting of ``[`` child lists, and the depth of every type
 built (through aliases too) are at most :data:`MAX_DEPTH`, the depth
-:mod:`endcalc.endspace` accepts (the parser recurses once per level too).
+:mod:`endcalc.endspace` accepts; the parser itself does not recurse.
 Input over a limit raises :class:`ParseError` at the offending token.
 """
 
@@ -100,42 +100,31 @@ _TOKEN_RE = re.compile(
 _KINDS = {"": "EOF", **dict.fromkeys("0123456789", "INT"), **dict.fromkeys(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME")}
 
-#: A parsed type expression: (tree, count, extra punctures).
-_Parsed = Tuple[EndType, int, int]
+#: A parsed type expression: (tree, count, extra punctures, next index).
+_Parsed = Tuple[EndType, int, int, int]
 
 
 class _Parser:
-    """Recursive descent over token texts; a token is named by its index."""
+    """Loops over the token texts, a token named by its index: one over
+    the statements, and one per type expression."""
 
     def __init__(self, text: str):
         self.text = text
         self.texts = _TOKEN_RE.findall(text)
-        self.pos = 0
         self.defs: Dict[str, EndType] = {}
-        self.nesting = 0  # open child lists
 
-    def take(self, text: str) -> bool:
-        """Consume the current token if its text is ``text``."""
-        if self.texts[self.pos] == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, kind: str, what: str) -> int:
-        """Consume a token of kind NAME, INT or one character; its index."""
-        i = self.pos
+    def int_at(self, i: int, what: str) -> int:
         t = self.texts[i]
-        if _KINDS.get(t[:1], t) != kind:
-            raise self.error("unexpected %r" % (t or "end of input"), i, what)
-        self.pos += 1
-        return i
-
-    def expect_int(self, what: str) -> int:
-        i = self.expect("INT", what)
-        if len(self.texts[i]) > MAX_INT_DIGITS:
+        if _KINDS.get(t[:1]) != "INT":
+            raise self.unexpected(i, what)
+        if len(t) > MAX_INT_DIGITS:
             raise self.error("integer literal longer than %d digits"
                              % MAX_INT_DIGITS, i)
-        return int(self.texts[i])
+        return int(t)
+
+    def unexpected(self, i: int, what: str) -> ParseError:
+        return self.error("unexpected %r" % (self.texts[i] or "end of input"),
+                          i, what)
 
     def error(self, message: str, i: int,
               expected: Optional[str] = None) -> ParseError:
@@ -146,46 +135,49 @@ class _Parser:
                           start - self.text.rfind("\n", 0, start), start, end)
         return ParseError(message, span, expected)
 
-    # -- statements ---------------------------------------------------------
-
     def parse_spec(self) -> SurfaceSpec:
+        texts = self.texts
         roots: List[Tuple[EndType, object]] = []
         subs: List[Tuple[EndType, int]] = []
-        punctures = 0
-        genus = 0
-        while self.texts[self.pos]:
-            i = self.pos
-            word = self.texts[i]
-            self.pos += 1
+        punctures = genus = i = 0
+        while texts[i]:
+            word = texts[i]
             if word == "type":
-                n = self.expect("NAME", "type name")
-                name = self.texts[n]
+                name = texts[i + 1]
+                if _KINDS.get(name[:1]) != "NAME":
+                    raise self.unexpected(i + 1, "type name")
                 if name in KEYWORDS:
-                    raise self.error("%r is a reserved word" % name, n)
+                    raise self.error("%r is a reserved word" % name, i + 1)
                 if name in self.defs:
-                    raise self.error("type %r already defined" % name, n)
-                self.expect("=", "'='")
-                self.defs[name] = self._plain(self.parse_typeexpr(), n,
-                                              "a type definition")
+                    raise self.error("type %r already defined" % name, i + 1)
+                if texts[i + 2] != "=":
+                    raise self.unexpected(i + 2, "'='")
+                self.defs[name], i = self._plain(self.parse_typeexpr(i + 3),
+                                                 i + 1, "a type definition")
             elif word == "root":
-                tree, count, extra = self.parse_typeexpr()
-                mult: object = count
-                if self.take("*"):
-                    if self.take("cantor"):
+                tree, mult, extra, i = self.parse_typeexpr(i + 1)
+                if texts[i] == "*":
+                    if texts[i + 1] == "cantor":
                         mult = CANTOR
                     else:
-                        mult = count * self.expect_int(
-                            "a multiplicity or 'cantor'")
+                        mult *= self.int_at(i + 1,
+                                            "a multiplicity or 'cantor'")
+                    i += 2
                 roots.append((tree, mult))
                 punctures += extra
             elif word == "sub":
-                tree = self._plain(self.parse_typeexpr(), i, "a subordinate")
-                self.expect("*", "'*'")
-                subs.append((tree, self.expect_int("a count")))
+                tree, i = self._plain(self.parse_typeexpr(i + 1), i,
+                                      "a subordinate")
+                if texts[i] != "*":
+                    raise self.unexpected(i, "'*'")
+                subs.append((tree, self.int_at(i + 1, "a count")))
+                i += 2
             elif word == "punctures":
-                punctures += self.expect_int("a puncture count")
+                punctures += self.int_at(i + 1, "a puncture count")
+                i += 2
             elif word == "genus":
-                genus += self.expect_int("a genus count")
+                genus += self.int_at(i + 1, "a genus count")
+                i += 2
             elif _KINDS.get(word[:1]) != "NAME":
                 raise self.error("unexpected %r" % word, i,
                                  expected="a statement keyword")
@@ -195,108 +187,115 @@ class _Parser:
         return SurfaceSpec(roots=tuple(roots), subordinates=tuple(subs),
                            extra_punctures=punctures, extra_genus=genus)
 
-    def _plain(self, parsed: _Parsed, i: int, where: str) -> EndType:
-        """The tree of a type expression that must carry no multiplicity."""
-        tree, count, extra = parsed
+    def _plain(self, parsed: _Parsed, i: int,
+               where: str) -> Tuple[EndType, int]:
+        """(tree, next index) of a type expression with no multiplicity."""
+        tree, count, extra, j = parsed
         if count != 1 or extra:
             raise self.error(
                 "ordinal multiplicities are only meaningful in root "
                 "statements, not in %s" % where, i)
-        return tree
+        return tree, j
 
-    # -- type expressions ----------------------------------------------------
+    def parse_typeexpr(self, i: int) -> _Parsed:
+        """The type expression at token i; only an ordinal's ``* n`` and
+        ``+ m`` make its count and extra punctures other than 1 and 0.  One
+        loop, with a stack of the nodes whose child list is open: each turn
+        reads a term that opens a list or completes a tree, and a complete
+        tree joins the innermost open list, or is the result."""
+        texts = self.texts
+        stack: List[Tuple[int, bool, bool, List[EndType]]] = []
+        while True:
+            word = texts[i]
+            tree, count, extra = None, 1, 0
+            if word == "acc" or word == "cantor":
+                head, cantor = i, word == "cantor"
+                if texts[i + 1] != "(":
+                    raise self.unexpected(i + 1, "'('")
+                genus = texts[i + 2] == "genus"
+                comma = genus and texts[i + 3] == ","
+                i += 2 + genus + comma
+                # a child list follows "genus ," or "[", not cantor's "genus ["
+                if texts[i] == "[" and (comma or not (genus and cantor)):
+                    if len(stack) == MAX_DEPTH:
+                        raise self.error("child lists nested deeper than %d"
+                                         % MAX_DEPTH, i)
+                    stack.append((head, cantor, genus, []))
+                    i += 1
+                    if texts[i] != "]":
+                        continue
+                elif comma:
+                    raise self.unexpected(i, "'['")
+                elif not cantor:
+                    raise self.error("an accumulation node needs a child "
+                                     "list (possibly empty)", i, "'['")
+                elif texts[i] != ")":
+                    raise self.unexpected(i, "')'")
+                else:
+                    tree, i = EndType(genus, True, frozenset()), i + 1
+            elif word == "omega":
+                tree, count, extra, i = self._ordinal(i)
+            elif word == "puncture" or word in self.defs:
+                tree = PUNCTURE if word == "puncture" else self.defs[word]
+                i += 1
+            elif _KINDS.get(word[:1]) != "NAME":
+                raise self.unexpected(i, "a type expression")
+            else:
+                raise self.error(
+                    "unknown type name %r (types must be defined before use, "
+                    "so definitions cannot recurse)" % word, i)
+            while stack:  # tree is None right after an empty list opens
+                head, cantor, genus, children = stack[-1]
+                if tree is not None:
+                    if count != 1 or extra:
+                        self._plain((tree, count, extra, i), i, "a child type")
+                    children.append(tree)
+                    if texts[i] == ",":
+                        i += 1
+                        break
+                if texts[i] != "]":
+                    raise self.unexpected(i, "']'")
+                if texts[i + 1] != ")":
+                    raise self.unexpected(i + 1, "')'")
+                i += 2
+                stack.pop()
+                tree = EndType(genus, cantor, frozenset(children))
+                if tree.depth() > MAX_DEPTH:
+                    raise self.error("type deeper than %d levels" % MAX_DEPTH,
+                                     head)
+            else:
+                return tree, count, extra, i
 
-    def parse_typeexpr(self) -> _Parsed:
-        """(tree, count, extra punctures): only an ordinal's ``* n`` and
-        ``+ m`` make the last two other than 1 and 0."""
-        i = self.pos
-        word = self.texts[i]
-        if word == "omega":
-            return self.parse_ordinal()
-        if word in ("acc", "cantor"):
-            return self.parse_node(word), 1, 0
-        if word == "puncture":
-            tree = PUNCTURE
-        elif word in self.defs:
-            tree = self.defs[word]
-        elif _KINDS.get(word[:1]) != "NAME":
-            raise self.error("unexpected %r" % (word or "end of input"), i,
-                             expected="a type expression")
-        else:
-            raise self.error(
-                "unknown type name %r (types must be defined before use, "
-                "so definitions cannot recurse)" % word, i)
-        self.pos += 1
-        return tree, 1, 0
-
-    def parse_node(self, head: str) -> EndType:
-        head_i = self.pos  # acc | cantor
-        self.pos += 1
-        self.expect("(", "'('")
-        genus = self.take("genus")
-        # a child list follows "genus ," or "[", but not "genus [" in cantor
-        if (genus and self.take(",") or self.texts[self.pos] == "["
-                and (head == "acc" or not genus)):
-            children = self.parse_child_list()
-        elif head == "acc":
-            raise self.error("an accumulation node needs a child list "
-                             "(possibly empty)", self.pos, expected="'['")
-        else:
-            children = []
-        self.expect(")", "')'")
-        t = EndType(genus, head == "cantor", frozenset(children))
-        if t.depth() > MAX_DEPTH:
-            raise self.error("type deeper than %d levels" % MAX_DEPTH, head_i)
-        return t
-
-    def parse_child_list(self) -> List[EndType]:
-        bracket = self.expect("[", "'['")
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise self.error("child lists nested deeper than %d" % MAX_DEPTH,
-                             bracket)
-        children: List[EndType] = []
-        if self.texts[self.pos] != "]":
-            while True:
-                children.append(self._plain(self.parse_typeexpr(), self.pos,
-                                            "a child type"))
-                if not self.take(","):
-                    break
-        self.expect("]", "']'")
-        self.nesting -= 1
-        return children
-
-    def parse_ordinal(self) -> _Parsed:
-        omega = self.pos
-        self.pos += 1
-        k = 1
-        if self.take("^"):
-            i = self.pos
-            k = (self.expect_int("an exponent")
-                 if _KINDS.get(self.texts[i][:1]) == "INT" else 0)
+    def _ordinal(self, omega: int) -> _Parsed:
+        """The ordinal at token omega."""
+        texts = self.texts
+        i, k, count = omega + 1, 1, 1
+        if texts[i] == "^":
+            k = (self.int_at(i + 1, "an exponent")
+                 if _KINDS.get(texts[i + 1][:1]) == "INT" else 0)
             if k < 1:
                 raise self.error(
                     "exponent must be a literal positive integer "
-                    "(finite rank only)", i)
+                    "(finite rank only)", i + 1)
             if k > MAX_DEPTH:
                 raise self.error("exponent above the depth limit %d"
-                                 % MAX_DEPTH, i)
-        count = 1
-        if self.take("*"):
-            i = self.pos
-            count = self.expect_int("a repetition count")
+                                 % MAX_DEPTH, i + 1)
+            i += 2
+        if texts[i] == "*":
+            count = self.int_at(i + 1, "a repetition count")
             if count < 1:
-                raise self.error("repetition count must be positive", i)
-        if not self.take("+"):
+                raise self.error("repetition count must be positive", i + 1)
+            i += 2
+        if texts[i] != "+":
             raise self.error(
                 "ordinal shorthand must end in '+ 1': end spaces are "
                 "compact, so the accumulation point belongs to the "
-                "surface", self.pos, expected="'+'")
-        tail = self.expect_int("an integer (at least 1)")
+                "surface", i, expected="'+'")
+        tail = self.int_at(i + 1, "an integer (at least 1)")
         if tail < 1:
             raise self.error("the compactification point is mandatory: "
                              "the trailing term must be at least 1", omega)
-        return planar_tower(k), count, tail - 1
+        return planar_tower(k), count, tail - 1, i + 2
 
 
 def parse(text: str) -> SurfaceSpec:
@@ -384,11 +383,17 @@ def emit_report(r: ClassificationReport, fmt: str = "TEXT",
     """Render a classification report as ``"TEXT"`` or ``"JSON"``.
 
     JSON output is byte-identical to ``json.dumps(report_to_dict(r,
-    include_witness), sort_keys=True, indent=2) + "\\n"``.  ``include_bounds``
-    applies to TEXT only: the JSON report always holds its bounds.
+    include_witness), sort_keys=True, indent=2) + "\\n"``: the dict's shape
+    is fixed, so :data:`_JSON_REPORT` holds it, and only the values that are
+    not int counts are rendered.  ``include_bounds`` applies to TEXT only:
+    the JSON report always holds its bounds.
     """
     if fmt.upper() == "JSON":
-        return _json(report_to_dict(r, include_witness), "") + "\n"
+        d = report_to_dict(r, include_witness)
+        values = {**d, **d["bounds"], **d["bounds"]["budget"]}
+        for k in _JSON_RENDERED:
+            values[k] = _json(values[k], "  ")
+        return _JSON_REPORT % values
     if fmt.upper() != "TEXT":
         raise ValueError("unknown report format %r" % fmt)
 
@@ -419,6 +424,36 @@ def emit_report(r: ClassificationReport, fmt: str = "TEXT",
     for note in r.notes:
         lines.append("note: %s" % note)
     return "\n".join(lines) + "\n"
+
+
+#: The JSON report, keys sorted: ``%d`` for counts, ``%s`` for the rest.
+_JSON_RENDERED = ("abelianization_upper", "countable", "flux_rank", "notes",
+                  "rule", "self_similar", "verdict", "witness")
+_JSON_REPORT = """{
+  "C": %(C)d,
+  "G0_count": %(G0_count)d,
+  "M": %(M)d,
+  "M_iso": %(M_iso)d,
+  "bounds": {
+    "abelianization_upper": %(abelianization_upper)s,
+    "budget": {
+      "dehn": %(dehn)d,
+      "handles": %(handles)d,
+      "shifts": %(shifts)d
+    },
+    "flux_rank": %(flux_rank)s,
+    "handle_pair_generators": %(handle_pair_generators)d,
+    "lower": %(lower)d,
+    "upper": %(upper)d
+  },
+  "countable": %(countable)s,
+  "notes": %(notes)s,
+  "rule": %(rule)s,
+  "self_similar": %(self_similar)s,
+  "verdict": %(verdict)s,
+  "witness": %(witness)s
+}
+"""
 
 
 def _json(v, pad: str) -> str:

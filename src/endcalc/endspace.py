@@ -509,7 +509,12 @@ def e_cp(s: SurfaceSpec, a: EndType, b: EndType) -> FrozenSet[EndType]:
     if ca == cb and ma is not CANTOR and ma < 2:
         raise ValueError("no second end of class %s (multiplicity 1)"
                          % format_type(ca))
-    shared = ca.children & cb.children  # the immediate predecessors
+    return _shared_predecessors(ca, cb)
+
+
+def _shared_predecessors(a: EndType, b: EndType) -> FrozenSet[EndType]:
+    """:func:`e_cp` of an admissible pair of a validated spec's root types."""
+    shared = a.children & b.children  # the immediate predecessors
     return frozenset(t for t in shared if not t.self_accumulating)
 
 
@@ -525,7 +530,7 @@ def invariant_bundle(s: SurfaceSpec) -> InvariantBundle:
     # the unordered pairs of maximal ends that can cobound a shift strip
     pairs = list(itertools.combinations(types, 2))
     pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
-    c = max((len(e_cp(s, a, b)) for a, b in pairs), default=0)
+    c = max((len(_shared_predecessors(a, b)) for a, b in pairs), default=0)
     m_iso = sum(1 for _, m in s.roots if m is not CANTOR)
     g0 = frozenset(t for t in types if t.direct_genus)
     return InvariantBundle(M=len(types), C=c, M_iso=m_iso, G0=g0)

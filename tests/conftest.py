@@ -12,16 +12,20 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import pytest
 from hypothesis import HealthCheck, settings
 
-from endcalc.classify import ObstructionWitness
+from endcalc.classify import Character, ObstructionWitness, _fluxes
 from endcalc.endspace import (
     CANTOR,
     EndType,
     SurfaceSpec,
     canonicalize,
     canonicalize_spec,
+    e_cp,
+    format_type,
+    invariant_bundle,
     node,
     planar_tower,
     preceq,
+    sort_key,
 )
 from endcalc.oracle import enumerate_trees, oracle_preceq
 from endcalc import flux
@@ -61,6 +65,23 @@ CANTOR_LEAF = node(cantor=True)
 def random_canonical_tree(rng: random.Random, depth: int = 3,
                           **kw) -> EndType:
     return canonicalize(random_tree(rng, depth, **kw))
+
+
+def check_shared_predecessors(s: SurfaceSpec) -> None:
+    """``invariant_bundle``'s C and ``classify``'s flux characters, which
+    read the roots' shared predecessors unchecked, against ``e_cp``, which
+    checks each admissible pair of root classes of the validated spec s."""
+    types = s.root_types()
+    pairs = list(itertools.combinations(types, 2))
+    pairs += [(t, t) for t, m in s.roots if m is CANTOR or m >= 2]
+    assert invariant_bundle(s).C == max(
+        (len(e_cp(s, a, b)) for a, b in pairs), default=0)
+    for a, b in pairs:
+        zs = sorted(e_cp(s, a, b), key=sort_key)
+        pair = (format_type(a), format_type(b)) if zs else None
+        for kind in ("FLUX", "FLUX_MOD2"):
+            assert _fluxes(a, b, kind) == [
+                Character(kind, z=format_type(z), pair=pair) for z in zs]
 
 
 def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:

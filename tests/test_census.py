@@ -26,7 +26,8 @@ from endcalc.classify import SelfSimilarity, Verdict, self_similarity
 from endcalc.dsl import parse, spec_to_text
 from endcalc.endspace import CANTOR, PUNCTURE, format_type
 from endcalc.oracle import oracle_equivalent, oracle_preceq
-from conftest import check_witness_on_models, load_census_tool
+from conftest import (check_shared_predecessors, check_witness_on_models,
+                      load_census_tool)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,11 @@ def test_census_round_trips_and_bounds(census):
     similar = collections.Counter(self_similarity(s) for s, _, _ in census)
     assert similar[SelfSimilarity.UNIQUELY] == 30
     assert similar[SelfSimilarity.PERFECTLY] == 31
+
+
+def test_census_shared_predecessors_match_e_cp(census):
+    for s, _, _ in census:
+        check_shared_predecessors(s)
 
 
 def test_census_no_witnesses_pass_the_model_check(census):

@@ -39,8 +39,9 @@ from endcalc.endspace import (
 )
 from endcalc.dsl import emit_report, parse
 from endcalc.oracle import enumerate_trees
-from conftest import (CANTOR_LEAF, FLUTE, LOCH_NESS, check_witness_on_models,
-                      random_spec, random_tree, type_closure)
+from conftest import (CANTOR_LEAF, FLUTE, LOCH_NESS, check_shared_predecessors,
+                      check_witness_on_models, load_surfgen, random_spec,
+                      random_tree, type_closure)
 
 BLOOM = node(genus=True, cantor=True)
 
@@ -251,6 +252,16 @@ class TestBounds:
                     admits[z] = admits.get(z, 0) + m
             expected_zero = all(n == 1 for n in admits.values())
             assert (generator_bounds(s).flux_rank == 0) == expected_zero
+
+    def test_shared_predecessors_match_e_cp_on_generated_surfaces(self):
+        surfgen = load_surfgen()
+        checked = 0
+        for index in range(1500):
+            surface = surfgen.make_surface(5, index)
+            if surface.valid:
+                check_shared_predecessors(parse(surface.text))
+                checked += 1
+        assert checked > 700
 
 
 KNOWN_RULES = {

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from endcalc.dsl import (
     MAX_DEPTH,
     MAX_INT_DIGITS,
     ParseError,
+    _Parser,
     _json,
     emit_report,
     parse,
@@ -34,6 +36,7 @@ from endcalc.endspace import (
     require_valid,
 )
 from conftest import CANTOR_LEAF, FLUTE, load_surfgen, random_spec
+import reference_parser
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -379,6 +382,86 @@ def test_parse_raises_only_its_own_errors(text):
         parse(text)
     except (ParseError, SpecError):
         pass
+
+
+# one edit inserts or substitutes a piece: every token the grammar reads,
+# a defined and an undefined name, a comment and separators
+_PIECES = ["acc", "cantor", "genus", "puncture", "omega", "root", "type",
+           "sub", "punctures", "(", ")", "[", "]", ",", "*", "+", "^", "=",
+           "0", "1", "2", "t0", "x", "#", "\n", " "]
+
+
+def _mutated(rng, text):
+    """text after one or two seeded edits: a slice deleted, a piece inserted
+    or substituted, a slice repeated, or the tail cut."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_PIECES) + text[j:]
+        elif op == 3:
+            text = text[:j] + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _outcome(parser, text):
+    """The raw spec a parser class reads from text, or its error's fields:
+    each parser module has its own ``SourceSpan`` class."""
+    try:
+        return parser(text).parse_spec()
+    except (ParseError, reference_parser.ParseError) as e:
+        span = e.span
+        return (e.message, e.expected,
+                (span.line, span.column, span.start, span.end), str(e))
+
+
+class TestAgainstTheRecursiveParser:
+    """The parser's loops against the recursive descent they replaced
+    (``tests/reference_parser.py``): the same raw spec, or the same error
+    message, expectation and span."""
+
+    def test_generated_and_mutated_texts(self):
+        surfgen = load_surfgen()
+        rng = random.Random("parser-differential")
+        texts = [surfgen.make_surface(11, i).text for i in range(2000)]
+        mutants = [_mutated(rng, t) for t in texts for _ in range(4)]
+        edges = [
+            "root omega * 0 + 1", "root omega * 2 + 3 * 5",
+            _nested(MAX_DEPTH), _nested(MAX_DEPTH + 1),
+            "root " + "acc([" * (MAX_DEPTH + 1),
+            "root " + "cantor(genus,[" * MAX_DEPTH + "])" * MAX_DEPTH,
+            "root " + "acc([" * 200 + "omega^60+1" + "])" * 200,
+            "root acc([omega^%d+1])" % MAX_DEPTH,
+            "root omega^%d + 1" % (MAX_DEPTH + 1),
+            "root omega^%s + 1" % ("7" * (MAX_INT_DIGITS + 1)),
+            _alias_chain(MAX_DEPTH + 1),
+        ]
+        errors = []
+        for text in texts + mutants + edges:
+            new = _outcome(_Parser, text)
+            assert new == _outcome(reference_parser._Parser, text), text
+            if isinstance(new, tuple):
+                errors.append(new[:2])
+        assert len(mutants) >= 6000 and len(errors) >= len(mutants) // 2
+        # every raise site of the loop and of the ordinal is reached
+        assert {("unexpected", e) for e in (
+            "'('", "'['", "')'", "']'", "a type expression",
+            "a repetition count", "an integer (at least 1)")} <= {
+            (m.split(" ")[0], e) for m, e in errors}
+        for prefix in ("an accumulation node needs", "unknown type name",
+                       "ordinal shorthand", "exponent must be",
+                       "exponent above", "repetition count must",
+                       "the compactification point", "ordinal multiplicities",
+                       "child lists nested deeper", "type deeper than",
+                       "integer literal longer"):
+            assert any(m.startswith(prefix) for m, _ in errors), prefix
 
 
 class TestRoundTrip:

@@ -162,9 +162,12 @@ class TestDepthLimit:
     def test_walks_recurse_one_frame_per_level(self):
         # a fresh interpreter with cold caches, each walk called 400 frames
         # deep on a legal non-tower chain: at two frames per level the
-        # 1000-frame default limit runs out
+        # 1000-frame default limit runs out.  parse, whose type expressions
+        # no longer recurse, reads the deepest nest and tower there too, and
+        # one level deeper raises the ParseError it raises at top level
         n = MAX_DEPTH - 1
         code = ("from endcalc.endspace import *\n"
+                "from endcalc.dsl import ParseError, parse\n"
                 "def at(frames, walk, t):\n"
                 "    return at(frames - 1, walk, t) if frames else walk(t)\n"
                 "t = node(genus=True)\n"
@@ -175,14 +178,26 @@ class TestDepthLimit:
                 "        print(walk.__name__, at(400, walk, t) == walk(t))\n"
                 "    except RecursionError:\n"
                 "        print(walk.__name__, 'RecursionError')\n"
-                "print(format_type(t))\n")
+                "print(format_type(t))\n"
+                "for k in (MAX_DEPTH, MAX_DEPTH + 1):\n"
+                "    for text in ('root ' + 'acc([' * k + '])' * k,\n"
+                "                 'root omega^%d + 1' % k):\n"
+                "        try:\n"
+                "            print(at(400, parse, text) == parse(text))\n"
+                "        except (ParseError, RecursionError) as e:\n"
+                "            print(type(e).__name__, e)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60,
                              env=dict(os.environ,
                                       PYTHONPATH=os.pathsep.join(sys.path)))
         assert out.stdout == (
             "canonicalize True\nbelow True\nformat_type True\n"
-            + "acc([" * n + "acc(genus,[])" + "])" * n + "\n")
+            + "acc([" * n + "acc(genus,[])" + "])" * n + "\n"
+            + "True\nTrue\n"
+            + "ParseError child lists nested deeper than %d at line 1, "
+              "column %d\n" % (MAX_DEPTH, 6 + 5 * MAX_DEPTH + 4)
+            + "ParseError exponent above the depth limit %d at line 1, "
+              "column 12\n" % MAX_DEPTH)
 
     def test_repr_above_the_limit_shows_only_the_depth(self):
         assert (repr(planar_tower(MAX_DEPTH + 1))
