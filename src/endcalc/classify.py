@@ -33,6 +33,7 @@ from .endspace import (
     SpecError,
     SurfaceSpec,
     _shared_predecessors,
+    below,
     canonicalize_spec,
     format_type,
     invariant_bundle,
@@ -80,7 +81,9 @@ def validate(s: SurfaceSpec) -> ValidationResult:
     if diags:
         return ValidationResult(False, tuple(diags), (), None)
     notes = (MODEL_NOTE,)
-    if any(c._cantor for t, _ in canonical.roots for c in t.children):
+    # below(r) holds r itself when r is a Cantor class
+    if any(c._cantor for r in canonical.root_types() if r._cantor
+           for t in below(r) if t.self_accumulating for c in t.children):
         notes += ("a Cantor class accumulated by further Cantor classes: "
                   "outside the worked examples, general rules applied",)
     return ValidationResult(True, (), notes, canonical)

@@ -67,6 +67,20 @@ class TestValidate:
         assert res.ok and res.canonical is not None
         assert any("tame" in n for n in res.notes)
 
+    @pytest.mark.parametrize("text, noted", [
+        ("root acc([cantor()])", False),
+        ("root acc([acc([cantor()])])", False),
+        ("root acc(genus,[cantor(genus)])\nroot omega+1", False),
+        ("root cantor([cantor()])", True),
+        ("root acc([cantor([cantor()])])", True),
+        ("root acc([cantor()]) * cantor", True),
+    ])
+    def test_cantor_over_cantor_note(self, text, noted):
+        # only a Cantor class with a Cantor class below it gets the note
+        notes = validate(parse(text)).notes
+        assert any("accumulated by further Cantor classes" in n
+                   for n in notes) == noted
+
     def test_bad_subordinate(self):
         res = validate(SurfaceSpec(roots=((FLUTE, 1),),
                                    subordinates=((LOCH_NESS, 1),)))
