@@ -17,7 +17,8 @@ generating budget (C*M shifts, M(M-2) twist generators, M handle shifts).
 Every public function accepts a raw spec.  A spec marked ``validated`` by
 :func:`endcalc.endspace.canonicalize_spec` is trusted as canonical and not
 canonicalized again, so parsing and classifying a text canonicalizes it
-once.
+once.  The rules read the facts the spec carries: ``countable`` from its
+constructor and ``similarity`` from its validation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .endspace import (
     CANTOR,
     EndType,
     Record,
-    SpecError,
+    SelfSimilarity,
     SurfaceSpec,
     _shared_predecessors,
     below,
@@ -40,12 +41,6 @@ from .endspace import (
     require_valid,
     sort_key,
 )
-
-
-class SelfSimilarity(Enum):
-    NOT = "NOT"
-    UNIQUELY = "UNIQUELY"
-    PERFECTLY = "PERFECTLY"
 
 
 class Verdict(Enum):
@@ -90,16 +85,8 @@ def validate(s: SurfaceSpec) -> ValidationResult:
 
 
 def self_similarity(s: SurfaceSpec) -> SelfSimilarity:
-    """UNIQUELY for a single simple maximal end, PERFECTLY for a single
-    Cantor class, NOT otherwise; unabsorbed extras always break
-    self-similarity (a partition can isolate them)."""
-    s = require_valid(s)
-    if len(s.roots) != 1 or s.extra_punctures or s.extra_genus:
-        return SelfSimilarity.NOT
-    (_, m), = s.roots
-    if m is CANTOR:
-        return SelfSimilarity.PERFECTLY
-    return SelfSimilarity.UNIQUELY if m == 1 else SelfSimilarity.NOT
+    """The :class:`SelfSimilarity` of s, which its validation records."""
+    return require_valid(s).similarity
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +211,17 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
                    "displaceable; whether it breaks the dense-conjugacy "
                    "argument is unresolved, so no YES/NO verdict is issued",))
 
-    similarity = self_similarity(s)
-    if similarity is SelfSimilarity.UNIQUELY:
+    if s.similarity is SelfSimilarity.UNIQUELY:
         return TNGVerdict(
             Verdict.YES, RULE_ROKHLIN,
             notes=("uniquely self-similar: the mapping class group has "
                    "a dense conjugacy class",))
-    if similarity is SelfSimilarity.PERFECTLY:
+    if s.similarity is SelfSimilarity.PERFECTLY:
         return TNGVerdict(
             Verdict.YES, RULE_TELESCOPING,
             notes=("perfectly self-similar surfaces are telescoping and "
                    "normally generated by a strong dilatation",))
-    if s.is_countable():
+    if s.countable:
         witness = _build_obstruction(s)
         if witness is not None:
             return TNGVerdict(Verdict.NO, RULE_OBSTRUCTION, witness=witness)
@@ -312,7 +298,7 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
                     handles=b.M)
     flux_rank = None
     handle_pairs = 0
-    if s.is_countable():
+    if s.countable:
         admits: dict = {}
         for t, m in s.roots:
             for z in t.children:  # the immediate predecessors
@@ -341,19 +327,16 @@ class ClassificationReport(Record):
 
 
 def classify(s: SurfaceSpec) -> ClassificationReport:
-    res = validate(s)
-    if not res.ok:
-        raise SpecError(res.diagnostics)
-    spec = res.canonical
+    spec = require_valid(s)
     verdict = tng_verdict(spec)
-    notes = res.notes + verdict.notes
+    notes = validate(spec).notes + verdict.notes
     if verdict.verdict is Verdict.NO:
         notes += ("verdict is NO: the bound formulas are reported for "
                   "information only",)
     return ClassificationReport(
         spec=spec,
-        countable=spec.is_countable(),
-        self_similar=self_similarity(spec),
+        countable=spec.countable,
+        self_similar=spec.similarity,
         verdict=verdict,
         bounds=generator_bounds(spec),
         notes=notes,

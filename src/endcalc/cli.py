@@ -44,7 +44,10 @@ MAX_CHECK_WINDOW = 200
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("ENDCALC_SEED", "42"))
+    try:
+        return int(os.environ.get("ENDCALC_SEED", "42"))
+    except ValueError as e:
+        raise ValueError("ENDCALC_SEED: %s" % e) from None
 
 
 def _positive_int(limit: int):

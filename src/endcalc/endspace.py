@@ -30,17 +30,18 @@ arguments names its fields once, in ``_fields`` (with ``_defaults`` for
 the trailing ones), and gets a generated ``__init__``.
 
 Trust contract: :func:`canonicalize_spec` output has no subordinates; it
-is marked ``validated`` when there were no diagnostics, and
-:func:`require_valid` trusts a marked spec as canonical.  The constructor
-cannot set the marker, which plays no part in equality, hashing or repr.
-:func:`e_cp`, :func:`invariant_bundle` and :mod:`endcalc.classify` accept
-a raw spec.
+is marked ``validated``, and given its ``similarity``, when there were no
+diagnostics, and :func:`require_valid` trusts a marked spec as canonical.
+The constructor cannot set the marker, which plays no part in equality,
+hashing or repr.  :func:`e_cp`, :func:`invariant_bundle` and
+:mod:`endcalc.classify` accept a raw spec.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from enum import Enum
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 
@@ -345,6 +346,16 @@ class SpecError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+class SelfSimilarity(Enum):
+    """Mann-Rafi self-similarity: UNIQUELY for a single simple maximal end,
+    PERFECTLY for a single Cantor class, NOT otherwise (unabsorbed extras
+    break it: a partition can isolate them)."""
+
+    NOT = "NOT"
+    UNIQUELY = "UNIQUELY"
+    PERFECTLY = "PERFECTLY"
+
+
 class SurfaceSpec(Record):
     """A whole infinite-type surface, up to homeomorphism of its end pair.
 
@@ -354,13 +365,15 @@ class SurfaceSpec(Record):
         canonical form).
     extra_punctures: isolated planar ends beyond the tree structure.
     extra_genus: finite genus not accumulated at any end.
-    validated: not a field; False from the constructor, set by
-        :func:`canonicalize_spec` alone, on a canonical spec without
-        diagnostics.
+    countable: not a field; set by the constructor: no CANTOR root, and no
+        self-accumulating node in the tree of a root or subordinate.
+    validated, similarity: not fields; False and None from the
+        constructor, set by :func:`canonicalize_spec` alone, on a
+        canonical spec without diagnostics.
     """
 
     _fields = ("roots", "subordinates", "extra_punctures", "extra_genus")
-    __slots__ = _fields + ("validated",)
+    __slots__ = _fields + ("countable", "validated", "similarity")
 
     def __init__(self, roots: Tuple[Tuple[EndType, Multiplicity], ...] = (),
                  subordinates: Tuple[Tuple[EndType, int], ...] = (),
@@ -370,7 +383,11 @@ class SurfaceSpec(Record):
         init(self, "subordinates", subordinates)
         init(self, "extra_punctures", extra_punctures)
         init(self, "extra_genus", extra_genus)
+        init(self, "countable", not (
+            any(m is CANTOR or t._cantor for t, m in roots)
+            or any(t._cantor for t, _ in subordinates)))
         init(self, "validated", False)
+        init(self, "similarity", None)
 
     def root_types(self) -> Tuple[EndType, ...]:
         return tuple(t for t, _ in self.roots)
@@ -385,13 +402,6 @@ class SurfaceSpec(Record):
         if ct not in roots:
             raise KeyError(f"not a root type: {format_type(t)}")
         return roots[ct]
-
-    def is_countable(self) -> bool:
-        """No Cantor classes anywhere in the end space: no CANTOR root, and
-        no self-accumulating node in the tree of a root or subordinate."""
-        if any(m is CANTOR for _, m in self.roots):
-            return False
-        return not any(t._cantor for t, _ in self.roots + self.subordinates)
 
 
 def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
@@ -412,7 +422,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     Diagnostics (fatal) are returned instead of raised so the validator can
     report all of them at once.  Every subordinate that is not absorbed
     is diagnosed, so the output has no subordinates; output without
-    diagnostics is marked ``validated``.
+    diagnostics is marked ``validated`` and given its ``similarity``.
     """
     diags: list = []
 
@@ -471,7 +481,13 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         diags.append("finite-type surface: no maximal end classes remain "
                      "(only finitely many punctures and finite genus)")
     if not diags:
+        # the one root's multiplicity, if no extras are left beside it
+        m = out.roots[0][1] if len(out.roots) == 1 and not (
+            extra_p or genus) else None
         object.__setattr__(out, "validated", True)
+        object.__setattr__(out, "similarity", (
+            SelfSimilarity.PERFECTLY if m is CANTOR
+            else SelfSimilarity.UNIQUELY if m == 1 else SelfSimilarity.NOT))
     return out, diags
 
 

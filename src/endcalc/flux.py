@@ -221,21 +221,18 @@ _SHIFT_PERIODIC_RE = re.compile(
 
 def parse_shift_literal(text: str) -> ShiftSpec:
     """``excluded=finite{...}`` or ``excluded=periodic{N=..,p=..,r=..}``."""
-    m = _SHIFT_FINITE_RE.match(text)
-    if m is not None:
-        return ShiftSpec(FiniteExcluded(_int_list(m.group(1), text)))
-    m = _SHIFT_PERIODIC_RE.match(text)
-    if m is not None:
-        n, p, *residues = _int_list(",".join(m.groups()), text)
+    m = _SHIFT_FINITE_RE.match(text) or _SHIFT_PERIODIC_RE.match(text)
+    if m is None:
+        raise ValueError("bad shift literal %r: expected 'excluded=finite"
+                         "{...}' or 'excluded=periodic{N=<int>,p=<int>,"
+                         "r=<ints>}'" % text)
+    try:  # an entry or the periodic set may be malformed
+        values = tuple(int(v) for v in ",".join(m.groups()).split(",")
+                       if v.strip())
+        if m.re is _SHIFT_FINITE_RE:
+            return ShiftSpec(FiniteExcluded(values))
+        n, p, *residues = values
         return ShiftSpec(PeriodicExcluded(n, p, tuple(residues)))
-    raise ValueError("bad shift literal %r: expected 'excluded=finite{...}' "
-                     "or 'excluded=periodic{N=<int>,p=<int>,r=<ints>}'"
-                     % text)
-
-
-def _int_list(body: str, text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in body.split(",") if v.strip())
     except ValueError as e:
         raise ValueError("bad shift literal %r: %s" % (text, e)) from None
 

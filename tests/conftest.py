@@ -86,7 +86,7 @@ def check_shared_predecessors(s: SurfaceSpec) -> None:
 
 def type_closure(s: SurfaceSpec) -> FrozenSet[EndType]:
     """All canonical types mentioned in roots and subordinates, transitively
-    (a plain walk: the reference for ``SurfaceSpec.is_countable``)."""
+    (a plain walk: the reference for ``SurfaceSpec.countable``)."""
     seen: set = set()
 
     def walk(t: EndType) -> None:
@@ -135,9 +135,9 @@ def random_spec(rng: random.Random,
         spec, diags = canonicalize_spec(raw)
         if diags:
             continue
-        if countable is True and not spec.is_countable():
+        if countable is True and not spec.countable:
             continue
-        if countable is False and spec.is_countable():
+        if countable is False and spec.countable:
             continue
         return spec
 
@@ -364,6 +364,33 @@ def _load_file(name: str, path: Path):
 def load_surfgen():
     """The benchmark's generator, ``bench/surfgen.py``."""
     return _load_file("surfgen", ROOT / "bench" / "surfgen.py")
+
+
+# one edit inserts or substitutes a piece: every token the grammar reads,
+# a defined and an undefined name, a comment and separators
+_PIECES = ["acc", "cantor", "genus", "puncture", "omega", "root", "type",
+           "sub", "punctures", "(", ")", "[", "]", ",", "*", "+", "^", "=",
+           "0", "1", "2", "t0", "x", "#", "\n", " "]
+
+
+def mutated_text(rng, text):
+    """text after one or two seeded edits: a slice deleted, a piece inserted
+    or substituted, a slice repeated, or the tail cut."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_PIECES) + text[j:]
+        elif op == 3:
+            text = text[:j] + text[i:]
+        else:
+            text = text[:i]
+    return text
 
 
 def load_census_tool():

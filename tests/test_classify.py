@@ -379,10 +379,15 @@ class TestTrustContract:
                 return original(s)
             monkeypatch.setattr(cl, name, wrapper)
 
-        for name in ("validate", "invariant_bundle", "tng_verdict"):
+        for name in ("validate", "invariant_bundle", "tng_verdict",
+                     "self_similarity"):
             counting(name)
         for fmt in ("JSON", "TEXT"):
-            emit_report(classify(parse(text)), fmt)
+            r = classify(parse(text))
+            emit_report(r, fmt)
+            # the report reads the facts the validated spec carries
+            assert r.self_similar is r.spec.similarity
+            assert r.countable is r.spec.countable
         assert sorted(calls) == sorted(
             ["validate", "invariant_bundle", "tng_verdict"] * 2)
 
@@ -412,21 +417,21 @@ class TestTrustContract:
             expected = (all(m is not CANTOR for _, m in roots)
                         and not any(t.self_accumulating
                                     for t in type_closure(s)))
-            assert s.is_countable() == expected
+            assert s.countable == expected
             seen.add((expected, bool(subs)))
         assert seen == {(True, True), (True, False), (False, True),
                         (False, False)}
         for t in enumerate_trees(5, 3, 3):
             s = SurfaceSpec(roots=((t, 1),))
-            assert s.is_countable() == (not any(
+            assert s.countable == (not any(
                 u.self_accumulating for u in type_closure(s)))
         # a Cantor class at the foot of a tower, past MAX_DEPTH too
         for k in (1, MAX_DEPTH, MAX_DEPTH + 1):
             t = CANTOR_LEAF
             for _ in range(k):
                 t = node(children=[t])
-            assert not SurfaceSpec(roots=((t, 1),)).is_countable()
-            assert SurfaceSpec(roots=((planar_tower(k), 1),)).is_countable()
+            assert not SurfaceSpec(roots=((t, 1),)).countable
+            assert SurfaceSpec(roots=((planar_tower(k), 1),)).countable
 
     def test_replaced_spec_is_not_trusted(self):
         parsed = parse("root omega^2 + 1")
@@ -436,7 +441,7 @@ class TestTrustContract:
                               subordinates=parsed.subordinates,
                               extra_punctures=parsed.extra_punctures,
                               extra_genus=parsed.extra_genus)
-        assert not doubled.validated
+        assert not doubled.validated and doubled.similarity is None
         with pytest.raises(AttributeError):
             parsed.validated = True
         with pytest.raises(TypeError):

@@ -23,6 +23,7 @@ from endcalc.cli import (
     MAX_WINDOW,
     main,
 )
+from conftest import load_surfgen, mutated_text
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -259,6 +260,20 @@ class TestFluxCommand:
         assert err == ("error: bad shift literal %r: invalid literal for "
                        "int() with base 10: %r\n" % (spec, entry))
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("excluded=periodic{N=0,p=0,r=1}", "period must be positive"),
+        ("excluded=periodic{N=1,p=3,r=}",
+         "periodic excluded set needs at least one residue"),
+        ("excluded=periodic{N=1,p=2,r=0,1}",
+         "excluding every residue leaves no indices to shift"),
+    ])
+    def test_shift_periodic_error_names_the_literal(self, spec, reason,
+                                                    capsys):
+        assert main(["flux", "shift", "--spec", spec]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad shift literal %r: %s\n" % (spec, reason)
+
     def test_perm_translation_over_the_digit_limit_names_the_literal(
             self, capsys):
         perm = "d=" + "9" * 5000
@@ -301,7 +316,7 @@ class TestFluxCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'abc'" in err
+        assert "'abc'" in err and "ENDCALC_SEED" in err
 
     def test_swindle_suite_reports_its_permutations(self, capsys):
         # the swindle suite ignores --n: it checks every permutation of
@@ -525,9 +540,19 @@ _SURF_LINES = st.sampled_from([
     b"sub omega + 1 * 3\n", b"punctures 2\n", b"genus 1\n",
     b"type t = acc([omega + 1])\nroot t * 2\n",
 ])
+# Corpus and generated texts after the seeded edits of the parser
+# differential: most stay close to a valid spec, so they reach the
+# classifier with shapes the pieces above rarely build.
+_MUTANTS = st.builds(
+    mutated_text, st.randoms(use_true_random=False),
+    st.sampled_from([p.read_text(encoding="utf-8")
+                     for p in sorted(CORPUS.glob("*.surf"))]
+                    + [load_surfgen().make_surface(11, i).text
+                       for i in range(100)]),
+).map(str.encode)
 _SURF = st.one_of(st.lists(_SURF_LINES, min_size=1, max_size=4).map(b"".join),
                   st.lists(_SURF_PIECES, max_size=14).map(b"".join),
-                  st.binary(max_size=24))
+                  st.binary(max_size=24), _MUTANTS)
 _EXPECTATIONS = st.sampled_from([
     b"{}", b'{"a.surf": {"verdict": "YES"}}', b'{"a.surf": {"nope": 1}}',
     b'{"b.surf": {}}', b"[]", b'{"a.surf": 3}', b"{", b"\xff", b"[" * 2000,
@@ -602,7 +627,8 @@ def test_every_input_ends_in_a_documented_exit(fuzz_dir, argv, surf,
             code = main(argv)
         except SystemExit as e:
             code = e.code
-    assert code in (0, 1, 2, 3, 4), (argv, code)
+    # exit 4 is an internal error: a bug, never a documented outcome
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     text = err.getvalue()
     assert "Traceback" not in text
     assert sum("error:" in line for line in text.splitlines()) <= 1, text

@@ -35,7 +35,8 @@ from endcalc.endspace import (
     planar_tower,
     require_valid,
 )
-from conftest import CANTOR_LEAF, FLUTE, load_surfgen, random_spec
+from conftest import (CANTOR_LEAF, FLUTE, load_surfgen, mutated_text,
+                      random_spec)
 import reference_parser
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -384,33 +385,6 @@ def test_parse_raises_only_its_own_errors(text):
         pass
 
 
-# one edit inserts or substitutes a piece: every token the grammar reads,
-# a defined and an undefined name, a comment and separators
-_PIECES = ["acc", "cantor", "genus", "puncture", "omega", "root", "type",
-           "sub", "punctures", "(", ")", "[", "]", ",", "*", "+", "^", "=",
-           "0", "1", "2", "t0", "x", "#", "\n", " "]
-
-
-def _mutated(rng, text):
-    """text after one or two seeded edits: a slice deleted, a piece inserted
-    or substituted, a slice repeated, or the tail cut."""
-    for _ in range(rng.randint(1, 2)):
-        i = rng.randrange(len(text) + 1)
-        j = min(len(text), i + rng.randint(1, 4))
-        op = rng.randrange(5)
-        if op == 0:
-            text = text[:i] + text[j:]
-        elif op == 1:
-            text = text[:i] + rng.choice(_PIECES) + text[i:]
-        elif op == 2:
-            text = text[:i] + rng.choice(_PIECES) + text[j:]
-        elif op == 3:
-            text = text[:j] + text[i:]
-        else:
-            text = text[:i]
-    return text
-
-
 def _outcome(parser, text):
     """The raw spec a parser class reads from text, or its error's fields:
     each parser module has its own ``SourceSpan`` class."""
@@ -431,7 +405,7 @@ class TestAgainstTheRecursiveParser:
         surfgen = load_surfgen()
         rng = random.Random("parser-differential")
         texts = [surfgen.make_surface(11, i).text for i in range(2000)]
-        mutants = [_mutated(rng, t) for t in texts for _ in range(4)]
+        mutants = [mutated_text(rng, t) for t in texts for _ in range(4)]
         edges = [
             "root omega * 0 + 1", "root omega * 2 + 3 * 5",
             _nested(MAX_DEPTH), _nested(MAX_DEPTH + 1),

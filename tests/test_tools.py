@@ -85,16 +85,27 @@ def test_census_on_2_node_trees():
         "malestein-tao-involution=6\n")
 
 
+def _replaced(b: BoundsReport, **changes) -> BoundsReport:
+    return BoundsReport(**{name: changes.get(name, getattr(b, name))
+                           for name in BoundsReport._fields})
+
+
 def test_census_reports_a_failed_check_and_an_empty_universe():
     tool = load_census_tool()
-    s = parse("root acc([acc([cantor(genus)])])\n")
+    s = parse("root acc([acc([cantor(genus)])])\n")  # uncountable
     b = generator_bounds(s)
-    inverted = BoundsReport(b.upper + 1, b.upper, *[
-        getattr(b, name) for name in BoundsReport._fields[2:]])
+    c = parse("root omega + 1 * 2\n")
+    cb = generator_bounds(c)
+    assert tool.failures([(c, tng_verdict(c), cb)]) == []
     assert tool.failures([
         (s, TNGVerdict(Verdict.UNKNOWN, "unknown"), b),
-        (s, tng_verdict(s), inverted),
-    ]) == [("self-similar-is-yes", s), ("lower<=upper", s)]
+        (s, tng_verdict(s), _replaced(b, lower=b.upper + 1)),
+        (s, tng_verdict(s), _replaced(b, flux_rank=0)),
+        (s, tng_verdict(s), _replaced(b, handle_pair_generators=1)),
+        (c, tng_verdict(c), _replaced(cb, flux_rank=None)),
+    ]) == [("self-similar-is-yes", s), ("lower<=upper", s),
+           ("countable-has-flux-rank", s), ("countable-has-flux-rank", s),
+           ("countable-has-flux-rank", c)]
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "census.py"),
          "--max-nodes", "0"],

@@ -6,7 +6,9 @@ The universe: one or two root classes drawn from the canonical classes of
 0 to 2 extra punctures and 0 or 1 extra genus.  Every distinct valid
 canonical spec is classified and bounded once.  The cross-field checks
 compare fields of one report: a uniquely or perfectly self-similar spec
-has verdict YES, and ``lower <= upper`` holds on every spec.
+has verdict YES, ``lower <= upper`` holds on every spec, and a spec has a
+flux rank exactly when it is countable, with no handle-pair generators
+when it is not.
 
 The script prints ``specs=S``, then one ``rule=count`` line per rule, the
 most frequent first, then one ``FAIL <check>: <spec>`` line per failed
@@ -39,7 +41,6 @@ from endcalc.classify import (  # noqa: E402
     TNGVerdict,
     Verdict,
     generator_bounds,
-    self_similarity,
     tng_verdict,
 )
 from endcalc.dsl import spec_to_text  # noqa: E402
@@ -82,11 +83,14 @@ def failures(entries: List[Entry]) -> List[Tuple[str, SurfaceSpec]]:
     """(check, spec) for each cross-field check that a report fails."""
     out = []
     for s, v, b in entries:
-        if (self_similarity(s) is not SelfSimilarity.NOT
+        if (s.similarity is not SelfSimilarity.NOT
                 and v.verdict is not Verdict.YES):
             out.append(("self-similar-is-yes", s))
         if b.lower > b.upper:
             out.append(("lower<=upper", s))
+        if ((b.flux_rank is None) == s.countable
+                or (not s.countable and b.handle_pair_generators)):
+            out.append(("countable-has-flux-rank", s))
     return out
 
 
