@@ -14,11 +14,12 @@ types, G0 the types whose genus accumulation is direct.  These drive the
 bounds max(1, M_iso - 1) <= n(S) <= max(1, M(M + C - 1)) and the
 generating budget (C*M shifts, M(M-2) twist generators, M handle shifts).
 
-Every public function accepts a raw spec.  A spec marked ``validated`` by
-:func:`endcalc.endspace.canonicalize_spec` is trusted as canonical and not
-canonicalized again, so parsing and classifying a text canonicalizes it
-once.  The rules read the facts the spec carries: ``countable`` from its
-constructor and ``similarity`` from its validation.
+Every public function accepts a raw spec.  A spec given its
+``similarity`` by :func:`endcalc.endspace.canonicalize_spec` is validated:
+it is trusted as canonical and not canonicalized again, so parsing and
+classifying a text canonicalizes it once.  The rules and the report read
+the facts the spec carries: ``countable`` from its constructor and
+``similarity`` from its validation.
 """
 
 from __future__ import annotations
@@ -65,23 +66,26 @@ MODEL_NOTE = ("finite accumulation trees have finite rank and no limit "
 
 
 class ValidationResult(Record):
-    __slots__ = _fields = ("ok", "diagnostics", "notes", "canonical")
+    """``canonical`` is None exactly when there are ``diagnostics``."""
+
+    __slots__ = _fields = ("diagnostics", "notes", "canonical")
 
 
 def validate(s: SurfaceSpec) -> ValidationResult:
     """Canonicalize and check the model invariants, collecting diagnostics.
 
-    A spec marked ``validated`` is already canonical and is used as is."""
-    canonical, diags = (s, ()) if s.validated else canonicalize_spec(s)
+    A validated spec is already canonical and is used as is."""
+    canonical, diags = ((s, ()) if s.similarity is not None
+                        else canonicalize_spec(s))
     if diags:
-        return ValidationResult(False, tuple(diags), (), None)
+        return ValidationResult(tuple(diags), (), None)
     notes = (MODEL_NOTE,)
     # below(r) holds r itself when r is a Cantor class
     if any(c._cantor for r in canonical.root_types() if r._cantor
            for t in below(r) if t.self_accumulating for c in t.children):
         notes += ("a Cantor class accumulated by further Cantor classes: "
                   "outside the worked examples, general rules applied",)
-    return ValidationResult(True, (), notes, canonical)
+    return ValidationResult((), notes, canonical)
 
 
 def self_similarity(s: SurfaceSpec) -> SelfSimilarity:
@@ -263,9 +267,6 @@ def tng_verdict(s: SurfaceSpec) -> TNGVerdict:
 # Bounds and flux ranks
 # ---------------------------------------------------------------------------
 
-NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
 class Budget(Record):
     __slots__ = _fields = ("shifts", "dehn", "handles")
 
@@ -321,8 +322,9 @@ def generator_bounds(s: SurfaceSpec) -> BoundsReport:
 
 
 class ClassificationReport(Record):
-    __slots__ = _fields = ("spec", "countable", "self_similar", "verdict",
-                           "bounds", "notes")
+    """The report on a validated ``spec``, whose facts it reads."""
+
+    __slots__ = _fields = ("spec", "verdict", "bounds", "notes")
     _defaults = {"notes": ()}
 
 
@@ -335,8 +337,6 @@ def classify(s: SurfaceSpec) -> ClassificationReport:
                   "information only",)
     return ClassificationReport(
         spec=spec,
-        countable=spec.countable,
-        self_similar=spec.similarity,
         verdict=verdict,
         bounds=generator_bounds(spec),
         notes=notes,

@@ -194,14 +194,14 @@ def cmd_flux(args) -> int:
                      for t in args.perms.split(";") if t.strip()]
             print(flux.theta_z(perms, args.n))
         elif args.flux_command == "shift":
-            spec = flux.parse_shift_literal(args.spec)
-            kind = flux.classify_shift(spec)
+            skipped = flux.parse_shift_literal(args.spec)
+            kind = flux.classify_shift(skipped)
             print("kind: %s" % kind.value)
             if kind is not flux.ShiftKind.FULL:
-                t = flux.normalizer(spec)
+                t = flux.normalizer(skipped)
                 print("normalizer: %s" % t.description)
                 print("normalizes: %s"
-                      % flux.verify_normalization(spec, t, args.window))
+                      % flux.verify_normalization(skipped, t, args.window))
         elif args.flux_command == "swindle":
             perm = flux.parse_perm_literal(args.perm)
             print(flux.swindle_check(perm, args.k, args.window))

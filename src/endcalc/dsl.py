@@ -46,11 +46,7 @@ import re
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Tuple
 
-from .classify import (
-    ClassificationReport,
-    NOT_APPLICABLE,
-    ObstructionWitness,
-)
+from .classify import ClassificationReport, ObstructionWitness
 from .endspace import (
     CANTOR,
     MAX_DEPTH,
@@ -62,6 +58,9 @@ from .endspace import (
     planar_tower,
     require_valid,
 )
+
+#: The JSON report's ``flux_rank`` of an uncountable surface.
+NOT_APPLICABLE = "NOT_APPLICABLE"
 
 KEYWORDS = {"type", "root", "sub", "punctures", "genus",
             "acc", "cantor", "puncture", "omega"}
@@ -303,14 +302,15 @@ def parse(text: str) -> SurfaceSpec:
 
     Raises :class:`ParseError` on syntax errors and input over the limits,
     and :class:`endcalc.endspace.SpecError` when the described surface
-    violates the model invariants.  The result is canonical and marked
-    ``validated``.
+    violates the model invariants.  The result is canonical and
+    validated: it carries its ``similarity``.
     """
     return require_valid(_Parser(text).parse_spec())
 
 
 def spec_to_text(s: SurfaceSpec) -> str:
-    """Echo a canonical spec as parseable statements."""
+    """Echo a spec as parseable statements: a canonical spec, or a raw one
+    with its ``sub`` lines."""
     lines: List[str] = []
     for t, m in s.roots:
         if m is CANTOR or m == 1:
@@ -351,8 +351,8 @@ def report_to_dict(r: ClassificationReport, include_witness: bool = True):
         }
     bounds = r.bounds
     return {
-        "countable": r.countable,
-        "self_similar": r.self_similar.value,
+        "countable": r.spec.countable,
+        "self_similar": r.spec.similarity.value,
         "M": b.M,
         "C": b.C,
         "M_iso": b.M_iso,
@@ -400,8 +400,8 @@ def emit_report(r: ClassificationReport, fmt: str = "TEXT",
     b = r.bounds.invariants
     lines = ["surface:"]
     lines.extend("  " + ln for ln in spec_to_text(r.spec).strip().split("\n"))
-    lines.append("countable: %s" % ("yes" if r.countable else "no"))
-    lines.append("self-similar: %s" % r.self_similar.value)
+    lines.append("countable: %s" % ("yes" if r.spec.countable else "no"))
+    lines.append("self-similar: %s" % r.spec.similarity.value)
     lines.append("verdict: %s  [%s]" % (r.verdict.verdict.value,
                                         r.verdict.rule))
     lines.append("invariants: M=%d C=%d M_iso=%d |G0|=%d"

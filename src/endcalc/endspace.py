@@ -30,10 +30,10 @@ arguments names its fields once, in ``_fields`` (with ``_defaults`` for
 the trailing ones), and gets a generated ``__init__``.
 
 Trust contract: :func:`canonicalize_spec` output has no subordinates; it
-is marked ``validated``, and given its ``similarity``, when there were no
-diagnostics, and :func:`require_valid` trusts a marked spec as canonical.
-The constructor cannot set the marker, which plays no part in equality,
-hashing or repr.  :func:`e_cp`, :func:`invariant_bundle` and
+is given its ``similarity`` when there were no diagnostics, and
+:func:`require_valid` trusts a spec with a ``similarity`` as canonical.
+The constructor cannot set it, and it plays no part in equality, hashing
+or repr.  :func:`e_cp`, :func:`invariant_bundle` and
 :mod:`endcalc.classify` accept a raw spec.
 """
 
@@ -367,13 +367,13 @@ class SurfaceSpec(Record):
     extra_genus: finite genus not accumulated at any end.
     countable: not a field; set by the constructor: no CANTOR root, and no
         self-accumulating node in the tree of a root or subordinate.
-    validated, similarity: not fields; False and None from the
-        constructor, set by :func:`canonicalize_spec` alone, on a
-        canonical spec without diagnostics.
+    similarity: not a field; None from the constructor, set by
+        :func:`canonicalize_spec` alone, on a canonical spec without
+        diagnostics, so a spec that has one is validated.
     """
 
     _fields = ("roots", "subordinates", "extra_punctures", "extra_genus")
-    __slots__ = _fields + ("countable", "validated", "similarity")
+    __slots__ = _fields + ("countable", "similarity")
 
     def __init__(self, roots: Tuple[Tuple[EndType, Multiplicity], ...] = (),
                  subordinates: Tuple[Tuple[EndType, int], ...] = (),
@@ -386,7 +386,6 @@ class SurfaceSpec(Record):
         init(self, "countable", not (
             any(m is CANTOR or t._cantor for t, m in roots)
             or any(t._cantor for t, _ in subordinates)))
-        init(self, "validated", False)
         init(self, "similarity", None)
 
     def root_types(self) -> Tuple[EndType, ...]:
@@ -422,7 +421,7 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
     Diagnostics (fatal) are returned instead of raised so the validator can
     report all of them at once.  Every subordinate that is not absorbed
     is diagnosed, so the output has no subordinates; output without
-    diagnostics is marked ``validated`` and given its ``similarity``.
+    diagnostics is given its ``similarity``, which marks it validated.
     """
     diags: list = []
 
@@ -484,7 +483,6 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
         # the one root's multiplicity, if no extras are left beside it
         m = out.roots[0][1] if len(out.roots) == 1 and not (
             extra_p or genus) else None
-        object.__setattr__(out, "validated", True)
         object.__setattr__(out, "similarity", (
             SelfSimilarity.PERFECTLY if m is CANTOR
             else SelfSimilarity.UNIQUELY if m == 1 else SelfSimilarity.NOT))
@@ -492,9 +490,9 @@ def canonicalize_spec(s: SurfaceSpec) -> Tuple[SurfaceSpec, list]:
 
 
 def require_valid(s: SurfaceSpec) -> SurfaceSpec:
-    """The canonical form of s; a spec marked ``validated`` is returned
-    unchanged."""
-    if s.validated:
+    """The canonical form of s; a validated spec (one with a
+    ``similarity``) is returned unchanged."""
+    if s.similarity is not None:
         return s
     canonical, diags = canonicalize_spec(s)
     if diags:

@@ -3,8 +3,9 @@
 A mapping class restricted to the Z-indexed ends of a bi-infinite strip
 is modeled by :class:`EndPerm`: an eventual translation with a finite
 override table.  The signed count of ends crossing a separating cut
-(:func:`phi`) is the flux homomorphism; shift maps with skipped indices
-are described by :class:`ShiftSpec` and corrected to the full shift by
+(:func:`phi`) is the flux homomorphism; a shift map with skipped indices
+is given by its skipped set, a :class:`FiniteExcluded` or
+:class:`PeriodicExcluded`, and corrected to the full shift by
 :func:`normalizer`; :func:`swindle_check` verifies the commutator
 identity expressing a finitely bounded map in terms of the full shift.
 The repetition map behind it is built in one ascending pass and requires
@@ -31,7 +32,7 @@ import math
 import random
 import re
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .endspace import Record
 
@@ -204,14 +205,6 @@ class PeriodicExcluded(Record):
                       for k in range(lo + (r - lo) % p, hi + 1, p))
 
 
-class ShiftSpec(Record):
-    """A shift map given by which integer indices it skips: ``excluded``
-    is a FiniteExcluded (by default the empty one) or a PeriodicExcluded."""
-
-    __slots__ = _fields = ("excluded",)
-    _defaults = {"excluded": FiniteExcluded()}
-
-
 _SHIFT_FINITE_RE = re.compile(
     r"^\s*(?:shift\s+)?excluded\s*=\s*finite\s*\{([^}]*)\}\s*$")
 _SHIFT_PERIODIC_RE = re.compile(
@@ -219,7 +212,10 @@ _SHIFT_PERIODIC_RE = re.compile(
     r"\s*p\s*=\s*(\d+)\s*,\s*r\s*=\s*([-\d,\s]*)\}\s*$")
 
 
-def parse_shift_literal(text: str) -> ShiftSpec:
+Excluded = Union[FiniteExcluded, PeriodicExcluded]
+
+
+def parse_shift_literal(text: str) -> Excluded:
     """``excluded=finite{...}`` or ``excluded=periodic{N=..,p=..,r=..}``."""
     m = _SHIFT_FINITE_RE.match(text) or _SHIFT_PERIODIC_RE.match(text)
     if m is None:
@@ -230,17 +226,18 @@ def parse_shift_literal(text: str) -> ShiftSpec:
         values = tuple(int(v) for v in ",".join(m.groups()).split(",")
                        if v.strip())
         if m.re is _SHIFT_FINITE_RE:
-            return ShiftSpec(FiniteExcluded(values))
+            return FiniteExcluded(values)
         n, p, *residues = values
-        return ShiftSpec(PeriodicExcluded(n, p, tuple(residues)))
+        return PeriodicExcluded(n, p, tuple(residues))
     except ValueError as e:
         raise ValueError("bad shift literal %r: %s" % (text, e)) from None
 
 
-def classify_shift(s: ShiftSpec) -> ShiftKind:
-    if isinstance(s.excluded, PeriodicExcluded):
+def classify_shift(s: Excluded) -> ShiftKind:
+    """The kind of the shift skipping the indices of s."""
+    if isinstance(s, PeriodicExcluded):
         return ShiftKind.SPONTANEOUS
-    if s.excluded.values:
+    if s.values:
         return ShiftKind.PERMISSIBLE
     return ShiftKind.FULL
 
@@ -266,11 +263,12 @@ class Normalizer(Record):
         return "half-twist blocks at %s" % (_runs(exc.values),)
 
 
-def normalizer(s: ShiftSpec) -> Normalizer:
-    """Half-twist correction making the shift full; errors on a full shift."""
+def normalizer(s: Excluded) -> Normalizer:
+    """Half-twist correction making the shift skipping s full; errors on a
+    full shift."""
     if classify_shift(s) is ShiftKind.FULL:
         raise ValueError("shift is already full; nothing to correct")
-    return Normalizer(s.excluded)
+    return Normalizer(s)
 
 
 def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
@@ -283,8 +281,9 @@ def _runs(values: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return tuple(runs)
 
 
-def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
-    """Check (T o eta)(i) == i + 1 for all |i| <= window.
+def verify_normalization(s: Excluded, t: Normalizer, window: int) -> bool:
+    """Check (T o eta)(i) == i + 1 for all |i| <= window, where eta is the
+    shift skipping s.
 
     eta and T are written out on the bound predicates; the tests keep the
     pointwise forms of both.  Only an index i with i or i + 1 skipped by
@@ -292,9 +291,9 @@ def verify_normalization(s: ShiftSpec, t: Normalizer, window: int) -> bool:
     i + 1, which T fixes because neither i + 1 nor i is blocked.  So the
     check walks those indices alone, in ascending order.
     """
-    skipped = s.excluded.contains
+    skipped = s.contains
     blocked = t.excluded.contains
-    marked = set(s.excluded.members(-window, window + 1))
+    marked = set(s.members(-window, window + 1))
     marked.update(t.excluded.members(-window, window + 1))
     marked.update([k - 1 for k in marked])  # i + 1 marked
     marked.discard(-window - 1)
@@ -627,13 +626,14 @@ def random_endperm(rng: random.Random, max_d: int = 3,
     return EndPerm(d, {i: j + d for i, j in zip(pts, shuffled)})
 
 
-def random_shiftspec(rng: random.Random) -> ShiftSpec:
+def random_shiftspec(rng: random.Random) -> Excluded:
+    """The skipped set of a random shift that is not full."""
     if rng.random() < 0.5:
         vals = rng.sample(range(-20, 21), rng.randint(1, 8))
-        return ShiftSpec(FiniteExcluded(tuple(vals)))
+        return FiniteExcluded(tuple(vals))
     p = rng.randint(2, 6)
     rs = rng.sample(range(p), rng.randint(1, p - 1))
-    return ShiftSpec(PeriodicExcluded(rng.randint(1, 10), p, tuple(rs)))
+    return PeriodicExcluded(rng.randint(1, 10), p, tuple(rs))
 
 
 def random_multiendperm(rng: random.Random, n: int,

@@ -64,7 +64,7 @@ DOUBLE_FLUX = SurfaceSpec(roots=(
 class TestValidate:
     def test_flute_ok(self):
         res = validate(FLUTE_SPEC)
-        assert res.ok and res.canonical is not None
+        assert not res.diagnostics and res.canonical is not None
         assert any("tame" in n for n in res.notes)
 
     @pytest.mark.parametrize("text, noted", [
@@ -84,13 +84,13 @@ class TestValidate:
     def test_bad_subordinate(self):
         res = validate(SurfaceSpec(roots=((FLUTE, 1),),
                                    subordinates=((LOCH_NESS, 1),)))
-        assert not res.ok
+        assert res.canonical is None
         assert any("subordinate not below any root" in d
                    for d in res.diagnostics)
 
     def test_finite_type_rejected(self):
         res = validate(SurfaceSpec(extra_punctures=5, extra_genus=2))
-        assert not res.ok
+        assert res.canonical is None
         assert any("finite-type" in d for d in res.diagnostics)
 
     def test_classify_raises_on_invalid(self):
@@ -337,7 +337,7 @@ class TestRuleTable:
 class TestClassifyAssembly:
     def test_report_fields(self):
         r = classify(THREE_ENDS_SPEC)
-        assert r.countable
+        assert r.spec.countable
         assert r.bounds.invariants.M == 3
         assert r.verdict.verdict is Verdict.NO
         assert r.bounds.upper == 9
@@ -345,8 +345,8 @@ class TestClassifyAssembly:
 
 
 class TestTrustContract:
-    """A spec marked ``validated`` is trusted as canonical; only
-    canonicalize_spec marks one."""
+    """A validated spec, one with a ``similarity``, is trusted as
+    canonical; only canonicalize_spec sets it."""
 
     def test_parse_then_classify_canonicalizes_once(self, monkeypatch):
         calls = []
@@ -385,9 +385,6 @@ class TestTrustContract:
         for fmt in ("JSON", "TEXT"):
             r = classify(parse(text))
             emit_report(r, fmt)
-            # the report reads the facts the validated spec carries
-            assert r.self_similar is r.spec.similarity
-            assert r.countable is r.spec.countable
         assert sorted(calls) == sorted(
             ["validate", "invariant_bundle", "tng_verdict"] * 2)
 
@@ -435,20 +432,21 @@ class TestTrustContract:
 
     def test_replaced_spec_is_not_trusted(self):
         parsed = parse("root omega^2 + 1")
-        assert parsed.validated
+        assert parsed.similarity is SelfSimilarity.UNIQUELY
         (root,) = parsed.roots
         doubled = SurfaceSpec(roots=(root, root),
                               subordinates=parsed.subordinates,
                               extra_punctures=parsed.extra_punctures,
                               extra_genus=parsed.extra_genus)
-        assert not doubled.validated and doubled.similarity is None
+        assert doubled.similarity is None
         with pytest.raises(AttributeError):
-            parsed.validated = True
+            parsed.similarity = SelfSimilarity.NOT
         with pytest.raises(TypeError):
-            SurfaceSpec(roots=parsed.roots, validated=True)
+            SurfaceSpec(roots=parsed.roots, similarity=SelfSimilarity.NOT)
         expected = parse("root omega^2 + 1 * 2")
         res = validate(doubled)
-        assert res.canonical == expected and res.canonical.validated
+        assert (res.canonical == expected
+                and res.canonical.similarity is SelfSimilarity.NOT)
         assert (emit_report(classify(doubled))
                 == emit_report(classify(expected)))
         assert tng_verdict(doubled) == tng_verdict(expected)
@@ -469,14 +467,14 @@ class TestTrustContract:
     ])
     def test_spec_with_diagnostics_is_never_marked(self, raw):
         out, diags = canonicalize_spec(raw)
-        assert diags and not out.validated
+        assert diags and out.similarity is None
         with pytest.raises(SpecError):
             classify(raw)
 
     def test_marker_takes_no_part_in_value(self):
         parsed = parse("root omega + 1 * 2\nroot acc(genus,[])\n")
         built = SurfaceSpec(roots=((LOCH_NESS, 1), (FLUTE, 2)))
-        assert parsed.validated and not built.validated
+        assert parsed.similarity is not None and built.similarity is None
         assert built == parsed and hash(built) == hash(parsed)
         assert repr(built) == repr(parsed)
 

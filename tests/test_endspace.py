@@ -389,7 +389,7 @@ class TestSurfaceSpec:
         s, diags = canonicalize_spec(SurfaceSpec(roots=roots))
         assert "a Cantor class of isolated punctures is not a valid end " \
             "structure" in diags
-        assert not s.validated
+        assert s.similarity is None
 
     def test_equivalent_roots_merge(self):
         raw = SurfaceSpec(roots=((FLUTE, 1), (node(children=[PUNCTURE]), 2)))
@@ -427,7 +427,7 @@ class TestSurfaceSpec:
         raw = SurfaceSpec(roots=((FLUTE, 1),), subordinates=((LOCH_NESS, 1),))
         s, diags = canonicalize_spec(raw)
         assert diags == ["subordinate not below any root: acc(genus,[])"]
-        assert s.subordinates == () and not s.validated
+        assert s.subordinates == () and s.similarity is None
         rng = random.Random(31)
         outcomes = set()
         for _ in range(3000):
@@ -439,7 +439,8 @@ class TestSurfaceSpec:
                          for _ in range(rng.randint(1, 3)))
             s, diags = canonicalize_spec(
                 SurfaceSpec(roots=roots, subordinates=subs))
-            assert s.subordinates == () and s.validated == (not diags)
+            assert (s.subordinates == ()
+                    and (s.similarity is not None) == (not diags))
             outcomes.add(bool(diags))
         assert outcomes == {True, False}
 

@@ -16,7 +16,6 @@ from endcalc.flux import (
     Normalizer,
     PeriodicExcluded,
     ShiftKind,
-    ShiftSpec,
     classify_shift,
     compose,
     factor_permutation,
@@ -139,15 +138,14 @@ class TestPhi:
 
 class TestShifts:
     def test_classification(self):
-        assert classify_shift(ShiftSpec()) is ShiftKind.FULL
-        assert classify_shift(
-            ShiftSpec(FiniteExcluded((0, 5)))) is ShiftKind.PERMISSIBLE
-        assert classify_shift(
-            ShiftSpec(PeriodicExcluded(1, 3, (0,)))) is ShiftKind.SPONTANEOUS
+        assert classify_shift(FiniteExcluded()) is ShiftKind.FULL
+        assert classify_shift(FiniteExcluded((0, 5))) is ShiftKind.PERMISSIBLE
+        assert (classify_shift(PeriodicExcluded(1, 3, (0,)))
+                is ShiftKind.SPONTANEOUS)
 
     def test_periodic_excluded_membership(self):
-        s = ShiftSpec(PeriodicExcluded(1, 3, (0,)))
-        assert [k for k in range(-4, 13) if s.excluded.contains(k)] == [3, 6, 9, 12]
+        s = PeriodicExcluded(1, 3, (0,))
+        assert [k for k in range(-4, 13) if s.contains(k)] == [3, 6, 9, 12]
 
     @pytest.mark.parametrize("excluded", [
         FiniteExcluded(()), FiniteExcluded((-9, -3, 0, 1, 2, 7, 40)),
@@ -167,28 +165,28 @@ class TestShifts:
             PeriodicExcluded(1, 3, ())
 
     def test_normalizer_single_block(self):
-        s = ShiftSpec(FiniteExcluded((0,)))
+        s = FiniteExcluded((0,))
         assert verify_normalization(s, normalizer(s), 50)
 
     def test_normalizer_two_blocks(self):
-        s = ShiftSpec(FiniteExcluded((0, 5)))
+        s = FiniteExcluded((0, 5))
         assert verify_normalization(s, normalizer(s), 50)
 
     def test_normalizer_periodic(self):
-        s = ShiftSpec(PeriodicExcluded(1, 3, (0,)))
+        s = PeriodicExcluded(1, 3, (0,))
         assert verify_normalization(s, normalizer(s), 200)
 
     def test_wrong_normalizer_detected(self):
-        s = ShiftSpec(FiniteExcluded((0, 5)))
+        s = FiniteExcluded((0, 5))
         wrong = Normalizer(FiniteExcluded((0, 4)))
         assert not verify_normalization(s, wrong, 50)
 
     def test_full_shift_has_no_normalizer(self):
         with pytest.raises(ValueError):
-            normalizer(ShiftSpec())
+            normalizer(FiniteExcluded())
 
     def test_adjacent_excluded_runs(self):
-        s = ShiftSpec(FiniteExcluded((0, 1, 2, 7)))
+        s = FiniteExcluded((0, 1, 2, 7))
         assert verify_normalization(s, normalizer(s), 80)
 
     def test_suite(self):
@@ -384,11 +382,11 @@ class TestLiterals:
 
     def test_shift(self):
         s = parse_shift_literal("excluded=finite{0,5}")
-        assert s.excluded == FiniteExcluded((0, 5))
+        assert s == FiniteExcluded((0, 5))
         s = parse_shift_literal("shift excluded=periodic{N=1,p=3,r=0}")
-        assert s.excluded == PeriodicExcluded(1, 3, (0,))
+        assert s == PeriodicExcluded(1, 3, (0,))
         s = parse_shift_literal("excluded=finite{}")
-        assert s.excluded == FiniteExcluded(())
+        assert s == FiniteExcluded(())
 
     def test_shift_errors(self):
         with pytest.raises(ValueError):
@@ -425,11 +423,12 @@ def _theta_tilde_by_mcompose(f, designated):
 
 
 def _eta(s, i):
-    """The shift s evaluated on index i: skipped indices stay fixed."""
-    if s.excluded.contains(i):
+    """The shift skipping s evaluated on index i: skipped indices stay
+    fixed."""
+    if s.contains(i):
         return i
     j = i + 1
-    while s.excluded.contains(j):
+    while s.contains(j):
         j += 1
     return j
 
@@ -675,8 +674,7 @@ class TestAgainstReference:
             PeriodicExcluded(w + 1, 4, (2,)), PeriodicExcluded(w + 2, 5, (0, 3)),
         ]
         seen = set()
-        for excluded in shifts:
-            s = ShiftSpec(excluded)
+        for s in shifts:
             for t in [normalizer(s)] + [Normalizer(e) for e in wrongs]:
                 got = verify_normalization(s, t, window)
                 assert got == _verify_normalization_by_generator(s, t, window)

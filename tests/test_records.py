@@ -15,6 +15,7 @@ from endcalc.classify import (
     ClassificationReport,
     GeneratorImage,
     ObstructionWitness,
+    SelfSimilarity,
     TNGVerdict,
     ValidationResult,
     Verdict,
@@ -30,7 +31,6 @@ from endcalc.flux import (
     FiniteExcluded,
     Normalizer,
     PeriodicExcluded,
-    ShiftSpec,
 )
 from conftest import CANTOR_LEAF, FLUTE
 
@@ -38,8 +38,8 @@ _TEXT = "root omega + 1 * 2\nroot acc(genus,[])\n"
 
 # (build a record, a record of the same class with other values)
 RECORDS = [
-    (lambda: ValidationResult(True, (), ("m",), None),
-     ValidationResult(False, ("d",), (), None)),
+    (lambda: ValidationResult((), ("m",), None),
+     ValidationResult(("d",), (), None)),
     (lambda: Character("FLUX", z="puncture", pair=("a", "b")),
      Character("FLUX", z="puncture", pair=("b", "a"))),
     (lambda: GeneratorImage("half_twist[a]", "half_twist", (1, 0)),
@@ -61,7 +61,6 @@ RECORDS = [
      InvariantBundle(M=1, C=1, M_iso=1, G0=frozenset())),
     (lambda: FiniteExcluded((5, 0)), FiniteExcluded((0,))),
     (lambda: PeriodicExcluded(1, 3, (0,)), PeriodicExcluded(1, 3, (1,))),
-    (lambda: ShiftSpec(), ShiftSpec(FiniteExcluded((0,)))),
     (lambda: Normalizer(FiniteExcluded((0,))),
      Normalizer(FiniteExcluded((0, 1)))),
 ]
@@ -107,7 +106,7 @@ def test_copies_and_pickles_keep_every_slot(build, other):
 # the records whose __init__ Record generates from _fields and _defaults
 GENERATED = [ValidationResult, Character, GeneratorImage, ObstructionWitness,
              TNGVerdict, Budget, BoundsReport, ClassificationReport,
-             SourceSpan, InvariantBundle, ShiftSpec, Normalizer]
+             SourceSpan, InvariantBundle, Normalizer]
 
 
 def test_only_three_records_write_their_own_init():
@@ -143,24 +142,23 @@ def test_reprs():
                "subordinates=(), extra_punctures=2, extra_genus=0)")
     assert (repr(SourceSpan(1, 2, 1, 3))
             == "SourceSpan(line=1, column=2, start=1, end=3)")
-    assert (repr(ShiftSpec(PeriodicExcluded(1, 3, (3, 4, 7))))
-            == "ShiftSpec(excluded=PeriodicExcluded(threshold=1, period=3, "
-               "residues=(0, 1)))")
-    assert repr(ShiftSpec()) == "ShiftSpec(excluded=FiniteExcluded(values=()))"
+    assert (repr(PeriodicExcluded(1, 3, (3, 4, 7)))
+            == "PeriodicExcluded(threshold=1, period=3, residues=(0, 1))")
+    assert repr(FiniteExcluded()) == "FiniteExcluded(values=())"
 
 
 def test_spec_marker_survives_copies_and_pickles():
     parsed, built = parse(_TEXT), SurfaceSpec(roots=((FLUTE, 1),))
-    assert parsed.validated and not built.validated
+    assert parsed.similarity is not None and built.similarity is None
     for spec in (parsed, built):
         for c in (copy.copy(spec), copy.deepcopy(spec),
                   pickle.loads(pickle.dumps(spec))):
-            assert c == spec and c.validated is spec.validated
+            assert c == spec and c.similarity is spec.similarity
 
 
 def test_spec_marker_is_not_a_parameter():
     with pytest.raises(TypeError):
-        SurfaceSpec(roots=((FLUTE, 1),), validated=True)
+        SurfaceSpec(roots=((FLUTE, 1),), similarity=SelfSimilarity.UNIQUELY)
 
 
 def test_excluded_sets_normalize_their_input():
