@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import endcalc.classify as cl
 from endcalc.cli import (
     EXIT_INTERNAL,
     EXIT_INVARIANT,
@@ -23,7 +24,8 @@ from endcalc.cli import (
     MAX_WINDOW,
     main,
 )
-from conftest import load_surfgen, mutated_text
+from endcalc.dsl import emit_report, parse, spec_to_text
+from conftest import load_census_tool, load_surfgen, mutated_text
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -191,6 +193,26 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_every_verdict_rule(self, tmp_path, capsys):
+        # the corpus misses two rules; the census universe at N = 3 has
+        # all of them (N = 2 misses double-flux-obstruction).  The least
+        # text of each rule keeps the choice independent of hash order.
+        texts = {}
+        for s, v, _ in load_census_tool().census(3):
+            text = spec_to_text(s)
+            texts[v.rule] = min(texts.get(v.rule, text), text)
+        assert set(texts) == {v for k, v in vars(cl).items()
+                              if k.startswith("RULE_")}
+        path = tmp_path / "rule.surf"
+        for rule, text in sorted(texts.items()):
+            path.write_text(text, encoding="utf-8")
+            r = cl.classify(parse(text))
+            assert r.verdict.rule == rule
+            for flags, fmt in ((["--json", "--witness"], "JSON"),
+                               (["--bounds", "--witness"], "TEXT")):
+                assert main(["classify", str(path), *flags]) == EXIT_OK
+                assert capsys.readouterr() == (emit_report(r, fmt), "")
 
     def test_expect_gate(self, capsys):
         assert main(["classify", str(CORPUS / "flute.surf"),

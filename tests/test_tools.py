@@ -2,11 +2,13 @@
 byte-identical to the pinned digest; ``tools/quotient_sweep.py`` on the
 4-node classes; ``tools/census.py`` on the 2-node universe and on a
 failed check.  Also lints of the package sources: no module imports a
-name it never uses, no public name is used by the tests alone, and the
-oracle takes only ``EndType`` from the package."""
+name it never uses, no public name is used by the tests alone, the
+oracle takes only ``EndType`` from the package, the memoized functions
+are a pinned list, and the README's rule table lists the verdict rules."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import endcalc
+import endcalc.classify as cl
 from endcalc.classify import (
     BoundsReport,
     TNGVerdict,
@@ -182,3 +185,39 @@ def test_oracle_takes_only_endtype_from_the_package():
                 if isinstance(n, ast.Import) for a in n.names
                 if a.name.startswith("endcalc")]
     assert imports == [(1, "endspace", ["EndType"])]
+
+
+def _memoized(tree: ast.Module) -> list:
+    """The functions decorated with ``lru_cache`` or ``cache``."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in n.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                name = d.attr if isinstance(d, ast.Attribute) else getattr(
+                    d, "id", None)
+                if name in ("lru_cache", "cache"):
+                    out.append(n.name)
+    return out
+
+
+def test_memoized_functions_are_pinned():
+    # a memo holds its entries for the life of the process, so adding one
+    # is a decision about memory (the preorder sweep's peak RSS) as well as
+    # time: change this list only with that decision
+    memoized = {"%s.%s" % (path.stem, name)
+                for path in sorted((ROOT / "src" / "endcalc").glob("*.py"))
+                for name in _memoized(ast.parse(path.read_bytes()))}
+    assert memoized == {
+        "endspace.canonicalize", "endspace.below", "flux._twist_word",
+        "oracle._check_scale", "oracle._flags", "oracle._nodes",
+        "oracle._positions", "oracle._cofinal"}
+
+
+def test_readme_rule_table_lists_the_verdict_rules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Verdict rules\n", 1)[1].split("\n## ", 1)[0]
+    tags = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
+    assert len(tags) == len(set(tags))
+    assert set(tags) == {v for k, v in vars(cl).items()
+                         if k.startswith("RULE_")}
