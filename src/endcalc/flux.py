@@ -205,14 +205,15 @@ class PeriodicExcluded(Record):
                       for k in range(lo + (r - lo) % p, hi + 1, p))
 
 
+#: A skipped set, which gives a shift map: the one skipping its indices.
+Excluded = Union[FiniteExcluded, PeriodicExcluded]
+
+
 _SHIFT_FINITE_RE = re.compile(
     r"^\s*(?:shift\s+)?excluded\s*=\s*finite\s*\{([^}]*)\}\s*$")
 _SHIFT_PERIODIC_RE = re.compile(
     r"^\s*(?:shift\s+)?excluded\s*=\s*periodic\s*\{\s*N\s*=\s*(-?\d+)\s*,"
     r"\s*p\s*=\s*(\d+)\s*,\s*r\s*=\s*([-\d,\s]*)\}\s*$")
-
-
-Excluded = Union[FiniteExcluded, PeriodicExcluded]
 
 
 def parse_shift_literal(text: str) -> Excluded:

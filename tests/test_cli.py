@@ -196,8 +196,9 @@ class TestClassifyCommand:
 
     def test_every_verdict_rule(self, tmp_path, capsys):
         # the corpus misses two rules; the census universe at N = 3 has
-        # all of them (N = 2 misses double-flux-obstruction).  The least
-        # text of each rule keeps the choice independent of hash order.
+        # all of them (N = 2 misses double-flux-obstruction).  The census
+        # order changes between processes; the least text of each rule
+        # does not.
         texts = {}
         for s, v, _ in load_census_tool().census(3):
             text = spec_to_text(s)
