@@ -9,11 +9,14 @@ tree.  Agreement with the production order is a differential test of the
 canonicalization rules.
 
 Two neighborhoods match when their roots carry the same flags
-(:func:`_flags`) and their accumulation families recur on each other
-(:func:`_same_families`).  The flags are compared first, outside the memo,
-and each tree's positions are grouped by them once, so a search tries only
-candidates whose flags agree.  Family matches are memoized in ``_SAME``,
-one row per first tree (once the scale guard passes it) keyed by the second.
+(self-accumulation and genus accumulation) and their accumulation families
+recur on each other (:func:`_same_families`).  Each tree passed by the
+scale guard gets one record in ``_SEEN``, built once: its flags, its
+distinct subtrees grouped by flags as positions and as cofinal subtrees,
+and its row of family matches, keyed by the record of the second tree.
+The flags are compared first, outside the memo, so a search tries only
+candidates whose flags agree; every (tree, position) pair is still decided
+by its own family match.
 
 Scale guard: inputs beyond depth 4 or branching 4 are rejected; the
 search is exponential and is only meant for small trees.
@@ -21,9 +24,8 @@ search is exponential and is only meant for small trees.
 
 from __future__ import annotations
 
-import collections
-import functools
 import itertools
+import operator
 from typing import Dict, Iterator, List, Tuple
 
 from .endspace import EndType
@@ -38,97 +40,86 @@ class OracleScaleError(ValueError):
     pass
 
 
-# The helpers below are memoized per node: nodes are interned, so each
-# distinct tree is computed once however many pairs it takes part in.  A
-# pair's family match sits in the first tree's row of _SAME.
+class _Tree:
+    """What the search needs of one tree that passed the scale guard.
+
+    ``flags``: (self-accumulation, genus accumulation) at the root; two
+    neighborhoods can only match if these agree.  ``kids``: the children's
+    records.  ``nodes``: the records of every distinct subtree, this one
+    first.  ``positions``: the nodes by flags.  ``cofinal``: the strict subtrees, by flags; each recurs
+    cofinally near the root, since it sits inside a child family, of which
+    every neighborhood holds infinitely many copies.  A strict subtree is
+    shallower than the root, so it is never the root itself.  ``same``: the
+    family matches of this tree as the first tree, keyed by the second
+    tree's record.
+    """
+
+    __slots__ = ("flags", "kids", "nodes", "positions", "cofinal", "same")
 
 
-@functools.lru_cache(maxsize=None)
-def _check_scale(t: EndType) -> None:
-    """Raise unless the tree fits the oracle.  ``lru_cache`` stores no
-    exception, so an oversized tree raises on every call."""
+# One record per tree; nodes are interned, so identity keys are exact.
+_SEEN: Dict[EndType, _Tree] = {}
+
+_flags = operator.attrgetter("flags")
+
+
+def _by_flags(trees: Tuple[_Tree, ...]) -> Dict[_Flags, Tuple[_Tree, ...]]:
+    return {k: tuple(g) for k, g in
+            itertools.groupby(sorted(trees, key=_flags), _flags)}
+
+
+def _record(t: EndType) -> _Tree:
+    """The tree's record, built on first use.  Raises unless the tree fits
+    the oracle; a rejected tree gets no record, so it raises on every call.
+    The record is published only once complete."""
+    r = _SEEN.get(t)
+    if r is not None:
+        return r
     if t.depth() > ORACLE_MAX_DEPTH:
         raise OracleScaleError(
             "tree exceeds oracle depth %d" % ORACLE_MAX_DEPTH)
     if len(t.children) > ORACLE_MAX_CHILDREN:
         raise OracleScaleError(
             "node exceeds oracle branching %d" % ORACLE_MAX_CHILDREN)
-    for c in t.children:
-        _check_scale(c)
+    r = _Tree()
+    r.kids = kids = tuple(map(_record, t.children))
+    r.flags = (t.self_accumulating,
+               t.direct_genus or any(k.flags[1] for k in kids))
+    r.nodes = tuple(dict.fromkeys(
+        itertools.chain((r,), *(k.nodes for k in kids))))
+    r.positions = _by_flags(r.nodes)
+    r.cofinal = _by_flags(r.nodes[1:])
+    r.same = {}
+    return _SEEN.setdefault(t, r)
 
 
-@functools.lru_cache(maxsize=None)
-def _flags(t: EndType) -> _Flags:
-    """(self-accumulation, genus accumulation) at the root.
-
-    Two neighborhoods can only match if these agree.
-    """
-    return (t.self_accumulating,
-            t.direct_genus or any(_flags(c)[1] for c in t.children))
-
-
-@functools.lru_cache(maxsize=None)
-def _nodes(t: EndType) -> Tuple[EndType, ...]:
-    """Every distinct subtree of the tree, the root first."""
-    return tuple(dict.fromkeys(
-        itertools.chain((t,), *map(_nodes, t.children))))
-
-
-def _by_flags(trees: Tuple[EndType, ...]) -> Dict[_Flags, Tuple[EndType, ...]]:
-    return {k: tuple(g) for k, g in
-            itertools.groupby(sorted(trees, key=_flags), _flags)}
-
-
-@functools.lru_cache(maxsize=None)
-def _positions(t: EndType) -> Dict[_Flags, Tuple[EndType, ...]]:
-    """Every node of the tree as a raw subtree (root included), by flags."""
-    return _by_flags(_nodes(t))
-
-
-@functools.lru_cache(maxsize=None)
-def _cofinal(t: EndType) -> Dict[_Flags, Tuple[EndType, ...]]:
-    """Strict subtrees occurring cofinally near the root, by flags.
-
-    Every strict descendant recurs infinitely often: it sits inside a
-    child family, of which every neighborhood holds infinitely many
-    copies.  A strict subtree is shallower than the root, so it is never
-    the root itself; the root's own self-accumulation is one of the flags
-    that the callers of :func:`_same_families` compare.
-    """
-    return _by_flags(_nodes(t)[1:])
-
-
-_SAME: Dict[EndType, Dict[EndType, bool]] = collections.defaultdict(dict)
-
-
-def _same_families(a: EndType, b: EndType) -> bool:
+def _same_families(a: _Tree, b: _Tree) -> bool:
     """Accumulation families of a and b recur on each other, root to root.
 
-    Callers have already found ``_flags(a) == _flags(b)``; together the
-    two conditions say that the neighborhoods of a and b carry copies of
-    each other.  Memoized in a's row of ``_SAME``.
+    Callers have already found equal flags; together the two conditions
+    say that the neighborhoods of a and b carry copies of each other.
+    Memoized in a's row.
     """
-    row = _SAME[a]
-    same = row.get(b)
+    same = a.same.get(b)
     if same is None:
-        same = row[b] = _families_recur(a, b)
+        same = a.same[b] = _families_recur(a, b)
     return same
 
 
-def _families_recur(a: EndType, b: EndType) -> bool:
+def _families_recur(a: _Tree, b: _Tree) -> bool:
     """The match behind :func:`_same_families`: each family member against
     the cofinal subtrees with its own flags.  Recursion descends strictly
     (family members against cofinal subtrees), so no fixpoint choice arises.
     """
-    cof_a, cof_b = _cofinal(a), _cofinal(b)
-    for c in b.children:
-        for q in cof_a.get(_flags(c), ()):
+    cof_a, cof_b = a.cofinal, b.cofinal
+    for c in b.kids:
+        for q in cof_a.get(c.flags, ()):
             if _same_families(q, c):
                 break
         else:
             return False
-    for d in a.children:
-        for q in cof_b.get(_flags(d), ()):
+    for d in a.kids:
+        for q in cof_b.get(d.flags, ()):
             if _same_families(d, q):
                 break
         else:
@@ -143,22 +134,21 @@ def oracle_preceq(y: EndType, x: EndType) -> bool:
     the same neighborhood as y: the root position gives equivalence, and
     any deeper position recurs in every neighborhood of x.
     """
-    _check_scale(y)
-    _check_scale(x)
-    row = _SAME[y]  # after the guard: a rejected tree gets no row
-    for p in _positions(x).get(_flags(y), ()):
+    ry = _SEEN.get(y) or _record(y)
+    rx = _SEEN.get(x) or _record(x)
+    row = ry.same
+    for p in rx.positions.get(ry.flags, ()):
         same = row.get(p)
         if same is None:
-            same = row[p] = _families_recur(y, p)
+            same = row[p] = _families_recur(ry, p)
         if same:
             return True
     return False
 
 
 def oracle_equivalent(y: EndType, x: EndType) -> bool:
-    _check_scale(y)
-    _check_scale(x)
-    return _flags(y) == _flags(x) and _same_families(y, x)
+    ry, rx = _record(y), _record(x)
+    return ry.flags == rx.flags and _same_families(ry, rx)
 
 
 def _child_sets(pool: List[Tuple[int, EndType]], budget: int, slots: int,

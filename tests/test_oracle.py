@@ -78,9 +78,9 @@ class TestOracleExamples:
         assert not oracle_preceq(FLUTE, PUNCTURE)
 
     def test_scale_guard(self):
-        # the oracle's helpers are memoized per tree: a warm cache must not
-        # turn the guard into a one-shot check, and a rejected tree must
-        # never get a row of the family-match memo
+        # the oracle keeps one record per tree: a warm table must not turn
+        # the guard into a one-shot check, and a rejected tree must never
+        # get a record
         assert oracle_preceq(planar_tower(4), planar_tower(4))
         four = [PUNCTURE, FLUTE, CANTOR_LEAF, node(genus=True)]
         assert oracle_preceq(PUNCTURE, node(children=four))
@@ -92,7 +92,17 @@ class TestOracleExamples:
                     for y, x in ((bad, PUNCTURE), (PUNCTURE, bad), (bad, bad)):
                         with pytest.raises(OracleScaleError):
                             call(y, x)
-            assert bad not in oracle._SAME
+            assert bad not in oracle._SEEN
+
+    def test_one_record_per_subtree(self):
+        y = node(children=[FLUTE, node(genus=True, children=[PUNCTURE])])
+        x = node(cantor=True, children=[FLUTE, CANTOR_LEAF])
+        oracle_preceq(y, x)
+        subtrees = set(_subtrees(y)) | set(_subtrees(x))
+        records = {t: oracle._SEEN[t] for t in subtrees}
+        assert len(set(map(id, records.values()))) == len(subtrees)
+        oracle_preceq(y, x)
+        assert all(oracle._SEEN[t] is r for t, r in records.items())
 
 
 class TestOracleAgreement:
