@@ -24,6 +24,7 @@ the facts the spec carries: ``countable`` from its constructor and
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from typing import List, Optional
@@ -173,11 +174,12 @@ def _build_obstruction(s: SurfaceSpec) -> Optional[ObstructionWitness]:
     ``sort_key`` order.
     """
     types = s.root_types()
-    flux = [c for i, a in enumerate(types) for b in types[i + 1:]
-            for c in _fluxes(a, b)]
     g0 = [format_type(t) for t in types if t.direct_genus]
-    flux += [Character("FLUX", z="handle", pair=(a, b))
-             for i, a in enumerate(g0) for b in g0[i + 1:]]
+    flux = list(itertools.islice(itertools.chain(
+        (c for i, a in enumerate(types) for b in types[i + 1:]
+         for c in _fluxes(a, b)),
+        (Character("FLUX", z="handle", pair=(a, b))
+         for i, a in enumerate(g0) for b in g0[i + 1:])), 2))
     if len(flux) >= 2:
         return _assemble_witness(flux[:2])
     repeated = [t for t, m in s.roots if m is not CANTOR and m >= 2]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import random
@@ -135,6 +136,28 @@ class TestVerdicts:
         assert (v.verdict, v.rule) == (Verdict.NO, RULE_OBSTRUCTION)
         assert any(c.kind == "FLUX_MOD2" and c.z == "handle"
                    for c in v.witness.characters)
+
+    def test_witness_search_stops_at_two_characters(self, monkeypatch):
+        # 1,000 incomparable roots, each pair sharing a predecessor: the
+        # witness takes the first two fluxes, so only the first two root
+        # pairs are searched, not all 499,500
+        pairs = list(itertools.combinations(range(1, 47), 2))[:1000]
+        s = parse("".join(
+            "root acc([acc(genus,[omega^%d + 1]), acc(genus,[omega^%d + 1])])"
+            "\n" % p for p in pairs))
+        assert len(s.roots) == 1000
+        calls, fluxes = [], cl._fluxes
+
+        def counting(*args):
+            calls.append(args)
+            return fluxes(*args)
+
+        monkeypatch.setattr(cl, "_fluxes", counting)
+        v = tng_verdict(s)
+        assert (v.verdict, v.rule) == (Verdict.NO, RULE_OBSTRUCTION)
+        assert len(calls) == 2
+        assert [c.z for c in v.witness.characters] == [
+            "acc(genus,[omega+1])", "acc(genus,[omega^2+1])"]
 
     def test_three_ends_double_flux(self):
         v = tng_verdict(THREE_ENDS_SPEC)
