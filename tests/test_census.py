@@ -13,7 +13,8 @@ have; the checks here decide each character, and ``C``, ``|G0|``,
 and the oracle's preorder, without ``e_cp`` or
 ``immediate_predecessors``.  Every NO witness also passes that
 model check, every spec round-trips through its text, every report passes
-the cross-field checks, and the specs of the countable gap are pinned.
+the cross-field checks, and the specs of the countable gap and the whole
+output, in its order, are pinned.
 """
 
 import collections
@@ -50,6 +51,15 @@ def test_census_size_and_rule_histogram(census):
         "malestein-tao-involution": 19,
         "double-flux-obstruction": 2,
     }
+
+
+def test_census_output_pinned(census):
+    # every spec's text, rule and bounds, in list order: the census lists
+    # its specs in the same order in every process
+    assert hashlib.sha256("\0".join(
+        "%s\t%s\t%d\t%d" % (spec_to_text(s), v.rule, b.lower, b.upper)
+        for s, v, b in census).encode()).hexdigest() == (
+        "ab1d3983a591cdc1e5e9e0a40d9d09ec386da440b87ec82448da7fcb29a4754a")
 
 
 def test_census_round_trips_and_bounds(census):

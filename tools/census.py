@@ -49,6 +49,7 @@ from endcalc.endspace import (  # noqa: E402
     SurfaceSpec,
     canonicalize,
     canonicalize_spec,
+    sort_key,
 )
 from endcalc.oracle import enumerate_trees  # noqa: E402
 
@@ -58,17 +59,19 @@ Entry = Tuple[SurfaceSpec, TNGVerdict, BoundsReport]
 def census(max_nodes: int) -> List[Entry]:
     """Every distinct valid canonical spec of the universe, with its verdict
     and bounds.  The canonical roots are built once per root combination;
-    extra punctures and genus then vary on them."""
-    classes = {canonicalize(t) for t in enumerate_trees(max_nodes, 3, 3)}
+    extra punctures and genus then vary on them.  The order is the same in
+    every process: end types hash by identity, so no set is iterated."""
+    classes = sorted({canonicalize(t)
+                      for t in enumerate_trees(max_nodes, 3, 3)}, key=sort_key)
     mults = (1, 2, CANTOR)
     combos = [((t, m),) for t in classes for m in mults]
     combos += [((a, m), (b, n)) for a, b in itertools.combinations(classes, 2)
                for m in mults for n in mults]
-    bases = set()
+    bases = {}
     for roots in combos:
         base, diags = canonicalize_spec(SurfaceSpec(roots=roots))
         if not diags:
-            bases.add((base.roots, base.extra_punctures))
+            bases[base.roots, base.extra_punctures] = None
     specs = {}
     for roots, punctures in bases:
         for p, g in itertools.product(range(3), range(2)):
