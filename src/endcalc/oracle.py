@@ -46,12 +46,12 @@ class _Tree:
     ``flags``: (self-accumulation, genus accumulation) at the root; two
     neighborhoods can only match if these agree.  ``kids``: the children's
     records.  ``nodes``: the records of every distinct subtree, this one
-    first.  ``positions``: the nodes by flags.  ``cofinal``: the strict subtrees, by flags; each recurs
-    cofinally near the root, since it sits inside a child family, of which
-    every neighborhood holds infinitely many copies.  A strict subtree is
-    shallower than the root, so it is never the root itself.  ``same``: the
-    family matches of this tree as the first tree, keyed by the second
-    tree's record.
+    first.  ``positions``: the nodes by flags.  ``cofinal``: the strict
+    subtrees by flags; each recurs cofinally near the root, since it sits
+    inside a child family, of which every neighborhood holds infinitely
+    many copies.  A strict subtree is shallower than the root, so it is
+    never the root itself.  ``same``: the family matches of this tree as
+    the first tree, keyed by the second tree's record.
     """
 
     __slots__ = ("flags", "kids", "nodes", "positions", "cofinal", "same")

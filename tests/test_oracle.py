@@ -2,6 +2,9 @@
 
 import hashlib
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -94,6 +97,8 @@ class TestOracleExamples:
                             call(y, x)
             assert bad not in oracle._SEEN
 
+
+class TestOracleRecords:
     def test_one_record_per_subtree(self):
         y = node(children=[FLUTE, node(genus=True, children=[PUNCTURE])])
         x = node(cantor=True, children=[FLUTE, CANTOR_LEAF])
@@ -103,6 +108,32 @@ class TestOracleExamples:
         assert len(set(map(id, records.values()))) == len(subtrees)
         oracle_preceq(y, x)
         assert all(oracle._SEEN[t] is r for t, r in records.items())
+
+    def test_threads_never_see_a_half_built_record(self, monkeypatch):
+        # eight threads start together on an empty table, switching every
+        # microsecond, and race to build the same records: a record
+        # published before it is complete would raise in a reader
+        trees = enumerate_trees(4, 3, 3)
+        pairs = list(itertools.product(trees[::9], trees[::11]))
+        monkeypatch.setattr(oracle, "_SEEN", {})
+        expected = [oracle_preceq(y, x) for y, x in pairs]
+        start = threading.Barrier(8)
+
+        def sweep():
+            start.wait(timeout=60)
+            return [oracle_preceq(y, x) for y, x in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(10):
+                    monkeypatch.setattr(oracle, "_SEEN", {})
+                    runs = [pool.submit(sweep) for _ in range(8)]
+                    assert [run.result(timeout=60) for run in runs] == (
+                        [expected] * 8)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOracleAgreement:
